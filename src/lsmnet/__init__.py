@@ -17,6 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = (
+    "archive",
     "specialfn",
     "geometry",
     "forward",

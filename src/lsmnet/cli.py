@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from os import environ
 from pathlib import Path
 
@@ -114,30 +115,38 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _obstacle_lines(index: int, obstacle) -> list:
+def _obstacle_kinds() -> dict:
     from . import geometry
 
-    prefix = f"obstacle.{index}."
-    cx, cy = obstacle.center
-    lines = [f"{prefix}center_x = {repr(float(cx))}",
-             f"{prefix}center_y = {repr(float(cy))}"]
-    if isinstance(obstacle, geometry.Disk):
-        lines.insert(0, f"{prefix}type = disk")
-        lines.append(f"{prefix}radius = {repr(float(obstacle.radius))}")
-    elif isinstance(obstacle, geometry.Ellipse):
-        lines.insert(0, f"{prefix}type = ellipse")
-        lines.append(f"{prefix}semi_axis_a = "
-                     f"{repr(float(obstacle.semi_axis_a))}")
-        lines.append(f"{prefix}semi_axis_b = "
-                     f"{repr(float(obstacle.semi_axis_b))}")
-        lines.append(f"{prefix}rotation = {repr(float(obstacle.rotation))}")
-    elif isinstance(obstacle, geometry.Kite):
-        lines.insert(0, f"{prefix}type = kite")
-        lines.append(f"{prefix}scale = {repr(float(obstacle.scale))}")
-    else:
+    return {"disk": geometry.Disk, "ellipse": geometry.Ellipse,
+            "kite": geometry.Kite}
+
+
+def _obstacle_keys(cls) -> dict:
+    """Config keys of an obstacle class in field order, mapped to whether
+    each is required; the center splits into center_x and center_y."""
+    keys = {}
+    for spec in fields(cls):
+        names = ("center_x", "center_y") if spec.name == "center" \
+            else (spec.name,)
+        keys.update((name, spec.default is MISSING) for name in names)
+    return keys
+
+
+def _obstacle_lines(index: int, obstacle) -> list:
+    kind = {cls: name for name, cls in _obstacle_kinds().items()}.get(
+        type(obstacle))
+    if kind is None:
         raise ValueError(f"cannot serialize obstacle of type "
                          f"{type(obstacle).__name__}")
-    return lines
+    values = []
+    for spec in fields(obstacle):
+        value = getattr(obstacle, spec.name)
+        values.extend(value if spec.name == "center" else (value,))
+    prefix = f"obstacle.{index}."
+    return [f"{prefix}type = {kind}"] + [
+        f"{prefix}{key} = {float(value)!r}"
+        for key, value in zip(_obstacle_keys(type(obstacle)), values)]
 
 
 def write_config(path, config: RunConfig) -> None:
@@ -175,43 +184,27 @@ def _parse_scalar(name: str, kind, text: str):
                          f"{name!r}") from None
 
 
-_OBSTACLE_FIELDS = {
-    "disk": ("center_x", "center_y", "radius"),
-    "ellipse": ("center_x", "center_y", "semi_axis_a", "semi_axis_b",
-                "rotation"),
-    "kite": ("center_x", "center_y", "scale"),
-}
-
-
 def _build_obstacle(index: int, entries: dict):
-    from . import geometry
-
+    kinds = _obstacle_kinds()
     kind = entries.pop("type", None)
     if kind is None:
         raise ValueError(f"obstacle.{index} has no type key")
-    if kind not in _OBSTACLE_FIELDS:
+    if kind not in kinds:
         raise ValueError(f"obstacle.{index}.type = {kind!r} is not one of "
-                         f"{sorted(_OBSTACLE_FIELDS)}")
-    expected = _OBSTACLE_FIELDS[kind]
+                         f"{sorted(kinds)}")
+    expected = _obstacle_keys(kinds[kind])
     for key in entries:
         if key not in expected:
             raise ValueError(f"unknown configuration key "
                              f"'obstacle.{index}.{key}'")
-    missing = [key for key in expected if key not in entries
-               and not (kind == "ellipse" and key == "rotation")]
+    missing = [key for key, required in expected.items()
+               if required and key not in entries]
     if missing:
         raise ValueError(f"obstacle.{index} is missing {missing}")
     values = {key: _parse_scalar(f"obstacle.{index}.{key}", float, raw)
               for key, raw in entries.items()}
-    center = (values["center_x"], values["center_y"])
-    if kind == "disk":
-        return geometry.Disk(center=center, radius=values["radius"])
-    if kind == "ellipse":
-        return geometry.Ellipse(center=center,
-                                semi_axis_a=values["semi_axis_a"],
-                                semi_axis_b=values["semi_axis_b"],
-                                rotation=values.get("rotation", 0.0))
-    return geometry.Kite(center=center, scale=values["scale"])
+    center = (values.pop("center_x"), values.pop("center_y"))
+    return kinds[kind](center=center, **values)
 
 
 def parse_config(path) -> RunConfig:
@@ -473,8 +466,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
                     raise ValueError("discrepancy matching needs eta > 0")
                 strategy = regsolve.Morozov(delta)
             elif name == "constant":
-                strategy = regsolve.Constant(
-                    forward.spectral_norm(measured) / 100.0)
+                strategy = regsolve.Constant(svdt.s[0] / 100.0)
             else:
                 reg_field = deeponet.learned_regularizer(
                     model, noise_model, measured, grid)
@@ -633,31 +625,6 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
           + ("hold" if all(verdicts) else "VIOLATED"))
 
 
-@dataclass(frozen=True)
-class BenchmarkRecord:
-    """One timing comparison row at a fixed sampling resolution."""
-
-    grid_size: int
-    morozov_seconds: float
-    learned_seconds: float
-    speedup: float
-
-    def __post_init__(self):
-        if self.morozov_seconds <= 0.0 or self.learned_seconds <= 0.0:
-            raise ValueError("timings must be positive")
-        ratio = self.morozov_seconds / self.learned_seconds
-        if not math.isclose(self.speedup, ratio, rel_tol=1e-12):
-            raise ValueError("speedup is not the ratio of the timings")
-
-
-def _median(values) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return 0.5 * (ordered[middle - 1] + ordered[middle])
-
-
 def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
                   noisenet_path=None) -> None:
     """Time the per-point regularization strategies against each other.
@@ -704,24 +671,22 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
                 started = time.perf_counter()
                 runner()
                 samples[name].append(time.perf_counter() - started)
-        times = {name: _median(values) for name, values in samples.items()}
-        record = BenchmarkRecord(size, times["morozov"], times["learned"],
-                                 times["morozov"] / times["learned"])
-        records.append(record)
-        print(f"{size:4d}^2 points: morozov {record.morozov_seconds:.4f} s"
-              f", learned {record.learned_seconds:.4f} s, "
-              f"speedup {record.speedup:.2f}x")
+        morozov_s = statistics.median(samples["morozov"])
+        learned_s = statistics.median(samples["learned"])
+        speedup = morozov_s / learned_s
+        records.append((size, morozov_s, learned_s, speedup))
+        print(f"{size:4d}^2 points: morozov {morozov_s:.4f} s, learned "
+              f"{learned_s:.4f} s, speedup {speedup:.2f}x")
 
     lines = ["grid,morozov_seconds,learned_seconds,speedup"]
-    lines.extend(f"{r.grid_size},{r.morozov_seconds:.6e},"
-                 f"{r.learned_seconds:.6e},{r.speedup:.6e}"
-                 for r in records)
+    lines.extend(f"{size},{morozov_s:.6e},{learned_s:.6e},{speedup:.6e}"
+                 for size, morozov_s, learned_s, speedup in records)
     with open(out / "benchmark.csv", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_meta(out, "benchmark", config, extra=(
         ("repeats", config.benchmark_repeats),
-        ("sizes", ",".join(str(r.grid_size) for r in records)),
+        ("sizes", ",".join(str(size) for size in chosen)),
     ))
 
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn, noisenet
+from . import archive, nn, noisenet
 from .forward import FarFieldMatrix, disk_farfield, fourier_resample, add_noise
 from .regsolve import IndicatorField, RegField, SamplingGrid
 
@@ -233,7 +232,7 @@ def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
 
     params = nn.parameters(model.branch)
     steps_per_epoch = -(-count // batch_size)
-    schedule = nn.LrSchedule("cosine", lr_start, lr_end, epochs * steps_per_epoch)
+    schedule = nn.LrSchedule(lr_start, lr_end, epochs * steps_per_epoch)
     state = nn.make_adam(params, lr_start, weight_decay=weight_decay,
                          decoupled=decoupled)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -286,7 +285,7 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
     centers = trunk.centers[:trunk.n_h, 0]
     factor = np.exp(-trunk.epsilon * (grid.axis[:, None] - centers[None, :]) ** 2)
     values = factor @ coefficients.reshape(trunk.n_h, trunk.n_h) @ factor.T
-    return IndicatorField(grid, values.ravel(), "deeponet")
+    return IndicatorField(grid, values.ravel())
 
 
 def learned_regularizer(model: RbfDeepOnet, noise_model, farfield: FarFieldMatrix,
@@ -301,67 +300,51 @@ def learned_regularizer(model: RbfDeepOnet, noise_model, farfield: FarFieldMatri
 def save_deeponet(path, model: RbfDeepOnet) -> None:
     """Model archive: trunk scalars, input grid shape, then the branch blob."""
     trunk = model.trunk
-    header = MAGIC_MODEL + struct.pack("<5d2I", trunk.lam, trunk.L, trunk.h,
-                                       trunk.s, trunk.epsilon, model.m0, model.n0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(nn.mlp_to_bytes(model.branch))
+    archive.write(path, MAGIC_MODEL, "5d2I",
+                  (trunk.lam, trunk.L, trunk.h, trunk.s, trunk.epsilon,
+                   model.m0, model.n0), tail=nn.mlp_to_bytes(model.branch))
 
 
 def load_deeponet(path) -> RbfDeepOnet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_MODEL:
-        raise ValueError(f"not a model archive: bad magic {blob[:4]!r}")
-    lam, L, h, s, epsilon, m0, n0 = struct.unpack_from("<5d2I", blob, 4)
-    offset = 4 + struct.calcsize("<5d2I")
-    trunk = make_trunk(lam, L, h, s, allow_low_s=True)
-    if abs(trunk.epsilon - epsilon) > 1e-12 * max(epsilon, 1.0):
-        raise ValueError("archived shape parameter disagrees with trunk geometry")
-    branch, end = nn.mlp_from_bytes(blob, offset)
-    if end != len(blob):
-        raise ValueError(f"trailing bytes in model archive: {len(blob) - end}")
-    return RbfDeepOnet(trunk, branch, m0, n0)
+    """Inverse of save_deeponet.
+
+    The branch fixes the trunk size, so the header's geometry is checked
+    against it before make_trunk allocates the centers it implies.
+    """
+    with archive.read(path, MAGIC_MODEL) as reader:
+        lam, L, h, s, epsilon, m0, n0 = reader.header("5d2I")
+        branch = nn.read_mlp(reader)
+        p_h = branch.sizes[-1]
+        n_h = math.isqrt(p_h)
+        # make_trunk's n_h = floor(2 lam L / h) + 1, written so that NaN fails.
+        if not (n_h * n_h == p_h and h > 0.0
+                and n_h - 1 <= 2.0 * lam * L / h < n_h):
+            raise ValueError(f"trunk geometry lam={lam!r}, L={L!r}, h={h!r} "
+                             f"does not give the branch's {p_h} outputs")
+        trunk = make_trunk(lam, L, h, s, allow_low_s=True)
+        if not abs(trunk.epsilon - epsilon) <= 1e-12 * max(epsilon, 1.0):
+            raise ValueError("archived shape parameter disagrees with trunk geometry")
+        return RbfDeepOnet(trunk, branch, m0, n0)
 
 
 def save_training_set(path, training_set: TrainingSet) -> None:
     """Dataset archive: counts and k, then the arrays in declaration order."""
-    count = training_set.count
-    m0, n0 = training_set.matrices.shape[1:]
-    p_h = training_set.labels.shape[1]
-    header = MAGIC_DATASET + struct.pack("<4Id", count, m0, n0, p_h,
-                                         training_set.k)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(training_set.matrices, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(training_set.centers, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(training_set.radii, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(training_set.etas, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(training_set.labels, dtype=np.uint8).tobytes())
+    count, m0, n0 = training_set.matrices.shape
+    archive.write(path, MAGIC_DATASET, "4Id",
+                  (count, m0, n0, training_set.labels.shape[1], training_set.k),
+                  [(training_set.matrices, "<c16"), (training_set.centers, "<f8"),
+                   (training_set.radii, "<f8"), (training_set.etas, "<f8"),
+                   (training_set.labels, np.uint8)])
 
 
 def load_training_set(path) -> TrainingSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_DATASET:
-        raise ValueError(f"not a dataset archive: bad magic {blob[:4]!r}")
-    count, m0, n0, p_h, k = struct.unpack_from("<4Id", blob, 4)
-    offset = 4 + struct.calcsize("<4Id")
-
-    def take(dtype, size, shape):
-        nonlocal offset
-        flat = np.frombuffer(blob, dtype=dtype, count=size, offset=offset)
-        offset += flat.nbytes
-        return flat.reshape(shape).copy()
-
-    matrices = take("<c16", count * m0 * n0, (count, m0, n0))
-    centers = take("<f8", count * 2, (count, 2))
-    radii = take("<f8", count, (count,))
-    etas = take("<f8", count, (count,))
-    labels = take(np.uint8, count * p_h, (count, p_h))
-    if offset != len(blob):
-        raise ValueError(f"trailing bytes in dataset archive: {len(blob) - offset}")
-    return TrainingSet(matrices, centers, radii, etas, labels, k)
+    with archive.read(path, MAGIC_DATASET) as reader:
+        count, m0, n0, p_h, k = reader.header("4Id")
+        return TrainingSet(reader.array("<c16", (count, m0, n0)),
+                           reader.array("<f8", (count, 2)),
+                           reader.array("<f8", (count,)),
+                           reader.array("<f8", (count,)),
+                           reader.array(np.uint8, (count, p_h)), k)
 
 
 def write_loss_csv(path, losses) -> None:

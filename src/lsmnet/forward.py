@@ -1,4 +1,4 @@
-"""Far-field data: analytic disk fields, noise injection, resampling, file I/O.
+"""Far-field data: analytic disk fields, noise injection, resampling.
 
 The far-field matrix discretizes the far-field operator on equispaced
 angle grids: rows are observation directions theta_i = 2*pi*i/m, columns
@@ -9,14 +9,11 @@ have to guess it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specialfn import bessel_j, hankel1
-
-MAGIC_FARFIELD = b"FFM1"
 
 # Name recorded in run manifests so a reader can reproduce noise draws.
 PRNG_NAME = "PCG64"
@@ -240,39 +237,3 @@ def fourier_resample(farfield: FarFieldMatrix, m_new: int, n_new: int) -> FarFie
     entries = np.fft.ifft2(spectrum)
     return FarFieldMatrix.from_entries(entries, farfield.k)
 
-
-def write_farfield(path, farfield: FarFieldMatrix) -> None:
-    """Binary far-field archive: magic, m, n, k, then row-major re/im pairs."""
-    m, n = farfield.shape
-    header = MAGIC_FARFIELD + struct.pack("<IId", m, n, farfield.k)
-    payload = np.ascontiguousarray(farfield.entries, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def read_farfield(path) -> FarFieldMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_FARFIELD:
-        raise ValueError(f"not a far-field archive: bad magic {blob[:4]!r}")
-    m, n, k = struct.unpack_from("<IId", blob, 4)
-    offset = 4 + struct.calcsize("<IId")
-    expected = offset + 16 * m * n
-    if len(blob) != expected:
-        raise ValueError(f"truncated far-field archive: {len(blob)} bytes, "
-                         f"expected {expected}")
-    entries = np.frombuffer(blob, dtype="<c16", count=m * n, offset=offset)
-    return FarFieldMatrix.from_entries(entries.reshape(m, n).copy(), k)
-
-
-def farfield_to_csv(path, farfield: FarFieldMatrix) -> None:
-    """Plain-text dump (row, column, re, im) for eyeballing and diffing."""
-    lines = ["i,j,re,im"]
-    m, n = farfield.shape
-    for i in range(m):
-        for j in range(n):
-            v = farfield.entries[i, j]
-            lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

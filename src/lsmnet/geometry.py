@@ -73,7 +73,6 @@ class BoundaryParametrization:
     derivative: Callable[[np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray], np.ndarray]
     period: float = 2.0 * np.pi
-    analytic: bool = True
 
 
 def parametrize(obstacle: Obstacle) -> BoundaryParametrization:
@@ -222,11 +221,6 @@ def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMP
                 sl = slice(lo, lo + 4096)
                 inside[sl] |= np.abs(_winding(boundary, points[sl])) > 0.5
     return inside
-
-
-def contains(scene: Scene, z) -> bool:
-    """True iff the point z lies inside (or on) any obstacle of the scene."""
-    return bool(contains_mask(scene, np.asarray(z, dtype=float).reshape(1, 2))[0])
 
 
 def boundary_distance(scene: Scene, points: np.ndarray, samples: int = 1024) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Dense networks with exact reverse-mode gradients and Adam training.
 
 Everything here is deliberately self-contained: forward, backward, the
-optimizer, the learning-rate schedules, and the serialization format are
-all in this module, with no framework underneath.  That keeps training
-runs reproducible bit for bit from a seed and makes the gradient path
-small enough to verify against finite differences in the test suite.
+optimizer, the learning-rate schedule, and the embedded serialization
+format are all in this module, with no framework underneath.  That keeps
+training runs reproducible bit for bit from a seed and makes the gradient
+path small enough to verify against finite differences in the test suite.
 
 A network is a stack of affine layers: hidden layers share one
 activation, the final layer applies an output transform (identity or
@@ -164,16 +164,13 @@ def backward(mlp: Mlp, x: np.ndarray, upstream: np.ndarray, trace=None):
 
 @dataclass
 class LrSchedule:
-    """Constant or half-cosine learning-rate profile over a fixed step count."""
+    """Half-cosine learning-rate profile over a fixed step count."""
 
-    kind: str
     lr_start: float
     lr_end: float
     total_steps: int
 
     def __post_init__(self):
-        if self.kind not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.lr_start <= 0.0 or self.lr_end <= 0.0:
             raise ValueError("learning rates must be positive")
         if self.lr_end > self.lr_start:
@@ -186,8 +183,6 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     """Learning rate before optimizer step `step` (0-based, up to total_steps)."""
     if step < 0 or step > schedule.total_steps:
         raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.kind == "constant":
-        return schedule.lr_start
     span = schedule.lr_start - schedule.lr_end
     return schedule.lr_end + 0.5 * span * (1.0 + np.cos(np.pi * step / schedule.total_steps))
 
@@ -244,22 +239,28 @@ def adam_step(state: AdamState, params: list, grads: list,
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not state.decoupled and state.weight_decay > 0.0:
             g = g + state.weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        denom = np.sqrt(v)
-        denom *= 1.0 / np.sqrt(bc2)
-        denom += state.eps
-        np.divide(m, denom, out=denom)
-        if state.decoupled and state.weight_decay > 0.0:
-            p *= 1.0 - lr * state.weight_decay
-        denom *= lr / bc1
-        p -= denom
+        # Blocks of whole rows, ~32k elements, keep the passes in cache.
+        rows = max(1, (1 << 15) // max(1, p[:1].size))
+        scratch = np.empty_like(p[:rows])
+        for lo in range(0, len(p), rows):
+            pb, gb, mb, vb = (a[lo:lo + rows] for a in (p, g, m, v))
+            work = scratch[:len(pb)]
+            mb *= state.beta1
+            mb += np.multiply(1.0 - state.beta1, gb, out=work)
+            vb *= state.beta2
+            vb += np.multiply(1.0 - state.beta2, np.square(gb, out=work), out=work)
+            np.sqrt(vb, out=work)
+            work *= 1.0 / np.sqrt(bc2)
+            work += state.eps
+            np.divide(mb, work, out=work)
+            if state.decoupled and state.weight_decay > 0.0:
+                pb *= 1.0 - lr * state.weight_decay
+            work *= lr / bc1
+            pb -= work
 
 
 def mlp_to_bytes(mlp: Mlp) -> bytes:
-    """Binary form: magic, layer sizes, activation/output codes, f64 payload."""
+    """Embedded form: magic, layer sizes, activation/output codes, f64 payload."""
     parts = [MAGIC_NETWORK,
              struct.pack("<I", len(mlp.sizes)),
              struct.pack(f"<{len(mlp.sizes)}I", *mlp.sizes),
@@ -271,42 +272,16 @@ def mlp_to_bytes(mlp: Mlp) -> bytes:
     return b"".join(parts)
 
 
-def mlp_from_bytes(blob: bytes, offset: int = 0):
-    """Inverse of mlp_to_bytes; returns (mlp, offset past the payload)."""
-    if blob[offset:offset + 4] != MAGIC_NETWORK:
-        raise ValueError(f"not a network blob: bad magic {blob[offset:offset + 4]!r}")
-    offset += 4
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if count < 2:
-        raise ValueError(f"network blob declares {count} layer sizes")
-    sizes = struct.unpack_from(f"<{count}I", blob, offset)
-    offset += 4 * count
-    act_code, out_code = struct.unpack_from("<BB", blob, offset)
-    offset += 2
+def read_mlp(reader) -> Mlp:
+    """Inverse of mlp_to_bytes at an `archive.Reader`'s position."""
+    reader.magic(MAGIC_NETWORK)
+    (count,) = reader.header("I")
+    sizes = tuple(int(size) for size in reader.array("<u4", (count,)))
+    act_code, out_code = reader.header("BB")
     if act_code >= len(ACTIVATIONS) or out_code >= len(OUTPUTS):
         raise ValueError("network blob has unknown activation or output code")
     weights, biases = [], []
     for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out, offset=offset)
-        offset += 8 * d_in * d_out
-        b = np.frombuffer(blob, dtype="<f8", count=d_out, offset=offset)
-        offset += 8 * d_out
-        weights.append(w.reshape(d_in, d_out).copy())
-        biases.append(b.copy())
-    mlp = Mlp(sizes, weights, biases, ACTIVATIONS[act_code], OUTPUTS[out_code])
-    return mlp, offset
-
-
-def save_mlp(path, mlp: Mlp) -> None:
-    with open(path, "wb") as fh:
-        fh.write(mlp_to_bytes(mlp))
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    mlp, offset = mlp_from_bytes(blob)
-    if offset != len(blob):
-        raise ValueError(f"trailing bytes in network file: {len(blob) - offset}")
-    return mlp
+        weights.append(reader.array("<f8", (d_in, d_out)))
+        biases.append(reader.array("<f8", (d_out,)))
+    return Mlp(sizes, weights, biases, ACTIVATIONS[act_code], OUTPUTS[out_code])

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import archive, nn
 from .forward import FarFieldMatrix, add_noise, disk_farfield, _resample_axis
 
 logger = logging.getLogger(__name__)
@@ -275,58 +274,29 @@ def predict_delta(net: NoiseNet, farfield: FarFieldMatrix) -> float:
 
 
 def save_noisenet(path, net: NoiseNet) -> None:
-    header = MAGIC_ESTIMATOR + struct.pack("<2I2d", net.m0, net.n0,
-                                           net.label_min, net.label_max)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(nn.mlp_to_bytes(net.mlp))
+    archive.write(path, MAGIC_ESTIMATOR, "2I2d",
+                  (net.m0, net.n0, net.label_min, net.label_max),
+                  tail=nn.mlp_to_bytes(net.mlp))
 
 
 def load_noisenet(path) -> NoiseNet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_ESTIMATOR:
-        raise ValueError(f"not an estimator archive: bad magic {blob[:4]!r}")
-    m0, n0, label_min, label_max = struct.unpack_from("<2I2d", blob, 4)
-    offset = 4 + struct.calcsize("<2I2d")
-    mlp, end = nn.mlp_from_bytes(blob, offset)
-    if end != len(blob):
-        raise ValueError(f"trailing bytes in estimator archive: {len(blob) - end}")
-    return NoiseNet(mlp, m0, n0, label_min, label_max)
+    with archive.read(path, MAGIC_ESTIMATOR) as reader:
+        m0, n0, label_min, label_max = reader.header("2I2d")
+        return NoiseNet(nn.read_mlp(reader), m0, n0, label_min, label_max)
 
 
 def save_noise_dataset(path, dataset: NoiseDataset) -> None:
-    header = MAGIC_DATASET + struct.pack("<3Id", dataset.count,
-                                         dataset.m0, dataset.n0, dataset.k)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.etas, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.radii, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.deltas, dtype="<f8").tobytes())
+    archive.write(path, MAGIC_DATASET, "3Id",
+                  (dataset.count, dataset.m0, dataset.n0, dataset.k),
+                  [(values, "<f8") for values in (dataset.features, dataset.labels,
+                                                  dataset.etas, dataset.radii,
+                                                  dataset.deltas)])
 
 
 def load_noise_dataset(path) -> NoiseDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_DATASET:
-        raise ValueError(f"not a dataset archive: bad magic {blob[:4]!r}")
-    count, m0, n0, k = struct.unpack_from("<3Id", blob, 4)
-    offset = 4 + struct.calcsize("<3Id")
-    width = min(m0, n0)
-
-    def take(size, shape):
-        nonlocal offset
-        flat = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += flat.nbytes
-        return flat.reshape(shape).copy()
-
-    features = take(count * width, (count, width))
-    labels = take(count, (count,))
-    etas = take(count, (count,))
-    radii = take(count, (count,))
-    deltas = take(count, (count,))
-    if offset != len(blob):
-        raise ValueError(f"trailing bytes in dataset archive: {len(blob) - offset}")
-    return NoiseDataset(features, labels, etas, radii, deltas, m0, n0, k)
+    with archive.read(path, MAGIC_DATASET) as reader:
+        count, m0, n0, k = reader.header("3Id")
+        features = reader.array("<f8", (count, min(m0, n0)))
+        labels, etas, radii, deltas = (reader.array("<f8", (count,))
+                                       for _ in range(4))
+        return NoiseDataset(features, labels, etas, radii, deltas, m0, n0, k)

@@ -22,8 +22,6 @@ import numpy as np
 
 from .forward import FarFieldMatrix
 
-PROVENANCE_TAGS = ("lsm_morozov", "lsm_constant", "lsm_learned", "deeponet")
-
 # Bracket for the discrepancy root, relative to sigma_1^2, and the fixed
 # bisection depth.  60 halvings resolve log alpha to ~5e-17 relative, so
 # the returned alpha is converged to rounding; no early exit is needed.
@@ -268,7 +266,6 @@ class IndicatorField:
 
     grid: SamplingGrid
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -276,9 +273,6 @@ class IndicatorField:
             raise ValueError("indicator values do not match the grid")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("indicator values must be finite and nonnegative")
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance {self.provenance!r}; "
-                             f"expected one of {PROVENANCE_TAGS}")
         object.__setattr__(self, "values", values)
 
 
@@ -348,10 +342,8 @@ def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
         filters = (s[:, None] / (s[:, None] ** 2 + alpha[None, :])) ** 2
         gnorm2[start:stop] = np.sum(filters * beta2, axis=0)
 
-    tag = {Morozov: "lsm_morozov", Constant: "lsm_constant",
-           Field: "lsm_learned"}[type(strategy)]
-    indicator = IndicatorField(grid, 1.0 / np.sqrt(gnorm2), tag)
-    return LsmResult(indicator, RegField(grid, alphas), fallbacks)
+    return LsmResult(IndicatorField(grid, 1.0 / np.sqrt(gnorm2)),
+                     RegField(grid, alphas), fallbacks)
 
 
 def normalized(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ import pytest
 
 from lsmnet import cli
 from lsmnet.cli import (
-    BenchmarkRecord,
     RunConfig,
     default_config,
     main,
@@ -262,13 +261,6 @@ class TestNtkCommand:
 
 
 class TestBenchmarkCommand:
-    def test_record_validation(self):
-        BenchmarkRecord(10, 2.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            BenchmarkRecord(10, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            BenchmarkRecord(10, 2.0, 1.0, 3.0)
-
     def test_csv_layout(self, pipeline):
         config, config_path, out, _, _ = pipeline
         assert main(["benchmark", "--config", str(config_path)]) == 0

@@ -256,7 +256,6 @@ class TestIndicator:
         coeff = nn.forward(model.branch, branch_features(field))
         want = trunk_eval(trunk, grid.points) @ coeff
         np.testing.assert_allclose(result.values, want, rtol=1e-13)
-        assert result.provenance == "deeponet"
         assert np.all(result.values >= 0.0)
 
     def test_band_limited_input_survives_downsampling(self):

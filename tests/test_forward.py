@@ -1,4 +1,4 @@
-"""Far-field assembly, noise, angular resampling, and serialization."""
+"""Far-field assembly, noise, and angular resampling."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lsmnet.forward import (FarFieldMatrix, add_noise, disk_farfield,
-                            farfield_to_csv, fourier_resample,
-                            incidence_angles, observation_angles,
-                            operator_eigenvalues_disk, read_farfield,
-                            spectral_norm, write_farfield)
+                            fourier_resample, incidence_angles,
+                            observation_angles, operator_eigenvalues_disk,
+                            spectral_norm)
 
 K = 2.0 * np.pi
 
@@ -211,31 +210,3 @@ def test_resample_same_shape_copies():
     np.testing.assert_array_equal(same.entries, ff.entries)
     assert same.entries is not ff.entries
 
-
-def test_farfield_file_round_trip(tmp_path):
-    ff = disk_farfield((0.4, -0.1), 0.9, K, 14, 10)
-    path = tmp_path / "field.bin"
-    write_farfield(path, ff)
-    back = read_farfield(path)
-    np.testing.assert_array_equal(back.entries, ff.entries)
-    assert back.k == ff.k
-    assert back.shape == ff.shape
-
-
-def test_farfield_io_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        read_farfield(path)
-
-
-def test_farfield_csv_export(tmp_path):
-    ff = disk_farfield((0.0, 0.0), 1.0, K, 4, 4)
-    path = tmp_path / "field.csv"
-    farfield_to_csv(path, ff)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,re,im"
-    assert len(lines) == 1 + 16
-    i, j, re, im = lines[1].split(",")
-    assert (int(i), int(j)) == (0, 0)
-    assert complex(float(re), float(im)) == pytest.approx(ff.entries[0, 0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsmnet.geometry import (Disk, Ellipse, Kite, Scene, boundary_distance,
-                             contains, contains_mask, parametrize)
+                             contains_mask, parametrize)
 
 
 def test_disk_parametrization_points():
@@ -85,14 +85,14 @@ def test_counterclockwise_orientation():
 
 def test_contains_disk_points():
     scene = Scene(obstacles=(Disk(center=(0.0, 0.0), radius=1.0),))
-    assert contains(scene, (0.0, 0.0))
-    assert not contains(scene, (2.0, 0.0))
+    assert contains_mask(scene, np.array([[0.0, 0.0]]))[0]
+    assert not contains_mask(scene, np.array([[2.0, 0.0]]))[0]
 
 
 def test_contains_kite_left_of_tail():
     scene = Scene(obstacles=(Kite(center=(0.0, 0.0), scale=1.0),))
-    assert not contains(scene, (-1.2, 0.0))
-    assert contains(scene, (0.2, 0.0))
+    assert not contains_mask(scene, np.array([[-1.2, 0.0]]))[0]
+    assert contains_mask(scene, np.array([[0.2, 0.0]]))[0]
 
 
 def test_disk_mask_matches_analytic_on_grid():

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from lsmnet import archive
 from lsmnet.nn import (
     AdamState,
     LrSchedule,
@@ -14,13 +15,11 @@ from lsmnet.nn import (
     forward,
     forward_trace,
     init_mlp,
-    load_mlp,
     lr_at,
     make_adam,
-    mlp_from_bytes,
     mlp_to_bytes,
     parameters,
-    save_mlp,
+    read_mlp,
 )
 
 FD_STEP = 1e-5
@@ -209,29 +208,23 @@ class TestBackward:
 
 class TestSchedule:
     def test_cosine_endpoints_and_midpoint(self):
-        sched = LrSchedule("cosine", 1e-3, 1e-5, 100)
+        sched = LrSchedule(1e-3, 1e-5, 100)
         assert lr_at(sched, 0) == pytest.approx(1e-3)
         assert lr_at(sched, 100) == pytest.approx(1e-5, abs=1e-18)
         assert lr_at(sched, 50) == pytest.approx((1e-3 + 1e-5) / 2.0)
 
-    def test_constant(self):
-        sched = LrSchedule("constant", 5e-3, 5e-3, 10)
-        assert all(lr_at(sched, s) == 5e-3 for s in range(11))
-
     def test_monotone_decrease(self):
-        sched = LrSchedule("cosine", 1.0, 0.1, 64)
+        sched = LrSchedule(1.0, 0.1, 64)
         values = [lr_at(sched, s) for s in range(65)]
         assert np.all(np.diff(values) < 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LrSchedule("linear", 1.0, 0.1, 10)
+            LrSchedule(0.1, 1.0, 10)
         with pytest.raises(ValueError):
-            LrSchedule("cosine", 0.1, 1.0, 10)
+            LrSchedule(1.0, 0.1, 0)
         with pytest.raises(ValueError):
-            LrSchedule("cosine", 1.0, 0.1, 0)
-        with pytest.raises(ValueError):
-            lr_at(LrSchedule("cosine", 1.0, 0.1, 10), 11)
+            lr_at(LrSchedule(1.0, 0.1, 10), 11)
 
 
 class TestAdam:
@@ -297,6 +290,47 @@ class TestAdam:
         adam_step(sb, b, [np.ones(1)], lr=1e-2)
         np.testing.assert_array_equal(a[0], b[0])
 
+    @pytest.mark.parametrize("decoupled", [True, False])
+    def test_row_blocks_match_whole_array_update(self, decoupled):
+        """The update runs over row blocks; each element must see exactly
+        the whole-array arithmetic, so the results are bitwise equal."""
+        def reference_step(state, params, grads, lr):
+            state.step += 1
+            bc1 = 1.0 - state.beta1 ** state.step
+            bc2 = 1.0 - state.beta2 ** state.step
+            for p, g, m, v in zip(params, grads, state.m, state.v):
+                if not state.decoupled:
+                    g = g + state.weight_decay * p
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * np.square(g)
+                denom = np.sqrt(v)
+                denom *= 1.0 / np.sqrt(bc2)
+                denom += state.eps
+                np.divide(m, denom, out=denom)
+                if state.decoupled:
+                    p *= 1.0 - lr * state.weight_decay
+                denom *= lr / bc1
+                p -= denom
+
+        rng = np.random.default_rng(8)
+        # Several blocks with a partial last one, a transposed (strided)
+        # matrix, and a vector longer than one block.
+        shapes = [(300, 250), (250, 300), (70_000,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        params[1] = np.asarray(params[1].T.copy().T)
+        expected = copy.deepcopy(params)
+        state = make_adam(params, 1e-2, weight_decay=0.1, decoupled=decoupled)
+        ref_state = copy.deepcopy(state)
+        for step in range(4):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            adam_step(state, params, grads, lr=1e-2 / (step + 1))
+            reference_step(ref_state, expected, grads, 1e-2 / (step + 1))
+        for a, b in zip(params + state.m + state.v,
+                        expected + ref_state.m + ref_state.v):
+            np.testing.assert_array_equal(a, b)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_adam([np.zeros(1)], 0.0)
@@ -313,8 +347,9 @@ class TestSerialization:
     def test_bytes_round_trip(self):
         mlp = init_mlp((5, 7, 7, 2), "relu", "square", seed=21)
         blob = mlp_to_bytes(mlp)
-        back, offset = mlp_from_bytes(blob)
-        assert offset == len(blob)
+        reader = archive.Reader(blob)
+        back = read_mlp(reader)
+        assert reader.offset == len(blob)
         assert back.sizes == mlp.sizes
         assert back.activation == "relu" and back.output == "square"
         for a, b in zip(parameters(mlp), parameters(back)):
@@ -323,23 +358,29 @@ class TestSerialization:
     def test_embedded_blob_offset(self):
         mlp = init_mlp((3, 2), "tanh", "identity", seed=5)
         blob = b"HEAD" + mlp_to_bytes(mlp) + b"TAIL"
-        back, offset = mlp_from_bytes(blob, offset=4)
-        assert blob[offset:] == b"TAIL"
+        reader = archive.Reader(blob)
+        reader.magic(b"HEAD")
+        back = read_mlp(reader)
+        assert blob[reader.offset:] == b"TAIL"
         np.testing.assert_array_equal(back.weights[0], mlp.weights[0])
 
     def test_file_round_trip(self, tmp_path):
+        # The network travels as the tail of an archive, as in RDON and NNET.
         mlp = init_mlp((4, 3, 1), "tanh", "identity", seed=6)
         path = tmp_path / "net.bin"
-        save_mlp(path, mlp)
-        back = load_mlp(path)
+        archive.write(path, b"TEST", "I", (7,), tail=mlp_to_bytes(mlp))
+        with archive.read(path, b"TEST") as reader:
+            assert reader.header("I") == (7,)
+            back = read_mlp(reader)
         for a, b in zip(parameters(mlp), parameters(back)):
             np.testing.assert_array_equal(a, b)
 
     def test_bad_magic_and_trailing_bytes(self, tmp_path):
         mlp = init_mlp((3, 2), "tanh", "identity", seed=0)
         with pytest.raises(ValueError, match="magic"):
-            mlp_from_bytes(b"XXXX" + mlp_to_bytes(mlp)[4:])
+            read_mlp(archive.Reader(b"XXXX" + mlp_to_bytes(mlp)[4:]))
         path = tmp_path / "bad.bin"
-        path.write_bytes(mlp_to_bytes(mlp) + b"junk")
-        with pytest.raises(ValueError, match="trailing"):
-            load_mlp(path)
+        path.write_bytes(b"TEST" + mlp_to_bytes(mlp) + b"junk")
+        with pytest.raises(ValueError, match="bad.bin: 4 trailing bytes"):
+            with archive.read(path, b"TEST") as reader:
+                read_mlp(reader)

@@ -256,8 +256,6 @@ class TestIndicator:
         second = lsm_indicator(noisy, grid, Field(first.alpha))
         np.testing.assert_array_equal(second.indicator.values,
                                       first.indicator.values)
-        assert first.indicator.provenance == "lsm_morozov"
-        assert second.indicator.provenance == "lsm_learned"
 
     def test_all_points_fall_back_for_tiny_delta(self, noisy_disk):
         noisy, _, svdt = noisy_disk
@@ -288,11 +286,9 @@ class TestFieldContainers:
     def test_indicator_field_validation(self):
         grid = SamplingGrid.make(1.0, 4)
         with pytest.raises(ValueError):
-            IndicatorField(grid, -np.ones(16), "lsm_morozov")
-        with pytest.raises(ValueError, match="provenance"):
-            IndicatorField(grid, np.ones(16), "mystery")
+            IndicatorField(grid, -np.ones(16))
         with pytest.raises(ValueError):
-            IndicatorField(grid, np.ones(15), "lsm_morozov")
+            IndicatorField(grid, np.ones(15))
 
     def test_reg_field_validation(self):
         grid = SamplingGrid.make(1.0, 4)
