@@ -22,7 +22,7 @@ import numpy as np
 
 from . import archive, nn, noisenet
 from .forward import FarFieldMatrix, disk_farfield, fourier_resample, add_noise
-from .regsolve import IndicatorField, RegField, SamplingGrid
+from .regsolve import IndicatorField, RegField, SamplingGrid, tensor_points
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,7 @@ def make_trunk(lam: float, L: float, h: float, s: float,
                        s, S_MIN)
     halfwidth = lam * L
     n_h = int(math.floor(2.0 * halfwidth / h)) + 1
-    axis = np.linspace(-halfwidth, halfwidth, n_h)
-    xs, ys = np.meshgrid(axis, axis)
-    centers = np.column_stack([xs.ravel(), ys.ravel()])
+    centers = tensor_points(np.linspace(-halfwidth, halfwidth, n_h))
     epsilon = -math.log(s) / h ** 2
     return RbfTrunk(float(lam), float(L), float(h), float(s), epsilon,
                     n_h, n_h * n_h, centers)
@@ -152,6 +150,8 @@ class TrainingSet:
             raise ValueError("labels must be a binary (count, p_h) array")
         if np.any(self.radii <= 0.0) or np.any(self.etas < 0.0):
             raise ValueError("radii must be positive and noise levels nonnegative")
+        if not np.isfinite(self.k) or self.k <= 0.0:
+            raise ValueError(f"wavenumber must be positive, got {self.k}")
 
     @property
     def count(self) -> int:
@@ -174,10 +174,9 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     if not 0.0 < r_lo <= r_hi:
         raise ValueError(f"bad radius range {radius_range}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    side = _POSITION_REFINEMENT * trunk.n_h
-    axis = np.linspace(-trunk.lam * trunk.L, trunk.lam * trunk.L, side)
-    xs, ys = np.meshgrid(axis, axis)
-    positions = np.column_stack([xs.ravel(), ys.ravel()])
+    halfwidth = trunk.lam * trunk.L
+    positions = tensor_points(np.linspace(-halfwidth, halfwidth,
+                                          _POSITION_REFINEMENT * trunk.n_h))
     count = positions.shape[0]
 
     radii = rng.uniform(r_lo, r_hi, size=count)
@@ -266,19 +265,21 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
                    grid: SamplingGrid) -> IndicatorField:
     """Indicator field of one measurement: trunk combination of branch outputs.
 
-    Data on a finer grid than the model's native m0 x n0 is folded down by
-    trigonometric resampling first.  The branch runs once; evaluation over
-    the grid is then a basis expansion with nonnegative coefficients, so
-    the field is nonnegative by construction.  The sampling grid and the
-    trunk centers are both tensor grids and each Gaussian factors per
-    axis, so the expansion is E C E^T with E[i, j] = exp(-eps (a_i - c_j)^2)
-    over the two axes and C the n_h x n_h coefficient grid: 2 res n_h
-    exponentials instead of one per point and center.
+    A far field whose wavelength 2 pi/k is not the trunk's raises
+    ValueError; one on another grid than the model's native m0 x n0 is
+    brought there by trigonometric resampling.  The branch runs once;
+    evaluation over the grid is a basis expansion with nonnegative
+    coefficients, so the field is nonnegative by construction.  The
+    sampling grid and the trunk centers are both tensor grids and each
+    Gaussian factors per axis, so the expansion is E C E^T with
+    E[i, j] = exp(-eps (a_i - c_j)^2) over the two axes and C the
+    n_h x n_h coefficient grid: 2 res n_h exponentials instead of one per
+    point and center.
     """
     wavelength = 2.0 * np.pi / farfield.k
     if abs(wavelength - model.trunk.lam) > 1e-6 * model.trunk.lam:
-        logger.warning("far field at wavelength %.6g fed to a model trained "
-                       "for %.6g", wavelength, model.trunk.lam)
+        raise ValueError(f"far field at wavelength {wavelength:.6g} fed to a "
+                         f"model trained for {model.trunk.lam:.6g}")
     native = fourier_resample(farfield, model.m0, model.n0)
     coefficients = nn.forward(model.branch, branch_features(native))
     trunk = model.trunk

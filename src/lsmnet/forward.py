@@ -9,6 +9,7 @@ have to guess it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,45 +38,34 @@ def incidence_angles(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FarFieldMatrix:
-    """Sampled far-field operator: entries[i, j] = u_inf(theta_i; phi_j)."""
+    """entries[i, j] = u_inf(theta_i; phi_j) on the canonical grids of its shape."""
 
     entries: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
     k: float
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-d array")
-        m, n = entries.shape
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if theta.shape != (m,) or phi.shape != (n,):
-            raise ValueError("angle grids do not match entry shape")
-        if not np.allclose(theta, observation_angles(m), rtol=0.0, atol=1e-12):
-            raise ValueError("observation angles are not the canonical equispaced grid")
-        if not np.allclose(phi, incidence_angles(n), rtol=0.0, atol=1e-12):
-            raise ValueError("incidence angles are not the canonical equispaced grid")
+        if entries.ndim != 2 or min(entries.shape) < _MIN_ANGLES:
+            raise ValueError(f"entries must be a 2-d array with at least "
+                             f"{_MIN_ANGLES} angles per axis")
         if not np.isfinite(self.k) or self.k <= 0.0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("far-field entries contain non-finite values")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "k", float(self.k))
 
     @property
     def shape(self) -> tuple:
         return self.entries.shape
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray, k: float) -> "FarFieldMatrix":
-        """Attach the canonical angle grids implied by the entry shape."""
-        entries = np.asarray(entries, dtype=complex)
-        m, n = entries.shape
-        return cls(entries, observation_angles(m), incidence_angles(n), k)
+    @property
+    def theta(self) -> np.ndarray:
+        return observation_angles(self.shape[0])
+
+    @property
+    def phi(self) -> np.ndarray:
+        return incidence_angles(self.shape[1])
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ def disk_farfield(center, radius: float, k: float, m: int, n: int,
     shift = np.exp(-1j * k * xhat_dot_c)[:, None] * np.exp(1j * k * dhat_dot_c)[None, :]
 
     amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    return FarFieldMatrix(amplitude * shift * series, theta, phi, k)
+    return FarFieldMatrix(amplitude * shift * series, k)
 
 
 def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray:
@@ -175,65 +165,108 @@ def add_noise(farfield: FarFieldMatrix, eta: float, seed: int):
     x = rng.standard_normal(farfield.shape)
     y = rng.standard_normal(farfield.shape)
     perturbation = eta * farfield.entries * (x + 1j * y)
-    noisy = FarFieldMatrix(farfield.entries + perturbation,
-                           farfield.theta, farfield.phi, farfield.k)
+    noisy = FarFieldMatrix(farfield.entries + perturbation, farfield.k)
     delta = spectral_norm(perturbation)
     return noisy, NoiseRealization(eta=float(eta), seed=int(seed), delta=delta)
 
 
-def _resample_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    """Map DFT coefficients of one axis onto a grid of new_size points.
+def _fold_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
+    """Map DFT coefficients of one axis onto new_size bins by congruence.
 
-    Coefficients are matched by signed frequency.  On upsampling, an even
-    source axis has a shared Nyquist bin whose content is split equally
-    between the +N/2 and -N/2 slots; on downsampling those two slots fold
-    back into one.  The new coefficients are scaled by new/old so that the
-    trigonometric interpolant through the samples is preserved.
+    This samples the trigonometric interpolant at the new nodes: every
+    source mode lands on its frequency mod new_size, and an even source's
+    shared +-old/2 bin enters as a half-weight cosine pair.  Upsampling is
+    zero padding.  Downsampling discards nothing, so white noise keeps its
+    mean per-entry variance, but it stays white only when old is a
+    multiple of new_size (at 50 -> 30, twenty bins get two modes, ten one).
     """
     old = spectrum.shape[axis]
-    if new_size == old:
-        return spectrum * 1.0
-    spectrum = np.moveaxis(spectrum, axis, 0)
-    out = np.zeros((new_size,) + spectrum.shape[1:], dtype=complex)
-    if new_size > old:
-        pos = (old + 1) // 2          # count of strictly positive-side bins
-        out[:pos] = spectrum[:pos]
-        neg = old - pos if old % 2 else old // 2 - 1
-        if neg:
-            out[new_size - neg:] = spectrum[old - neg:]
-        if old % 2 == 0:
-            half = 0.5 * spectrum[old // 2]
-            out[old // 2] += half
-            out[new_size - old // 2] += half
-    else:
-        pos = (new_size + 1) // 2
-        out[:pos] = spectrum[:pos]
-        neg = new_size - pos if new_size % 2 else new_size // 2 - 1
-        if neg:
-            out[pos + (0 if new_size % 2 else 1):] = spectrum[old - neg:]
-        if new_size % 2 == 0:
-            out[new_size // 2] = spectrum[new_size // 2] + spectrum[old - new_size // 2]
+    coeff = np.moveaxis(spectrum, axis, 0).copy()
+    freqs = np.rint(np.fft.fftfreq(old) * old).astype(int)
+    out = np.zeros((new_size,) + coeff.shape[1:], dtype=complex)
+    if old % 2 == 0:
+        coeff[old // 2] *= 0.5
+    np.add.at(out, np.mod(freqs, new_size), coeff)
+    if old % 2 == 0:
+        out[(old // 2) % new_size] += coeff[old // 2]
     out *= new_size / old
     return np.moveaxis(out, 0, axis)
+
+
+def _cut_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
+    """The new_size lowest signed frequencies of one axis, unscaled.
+
+    An even new_size keeps the -new_size/2 mode alone, so every kept bin
+    holds exactly one source mode.
+    """
+    freqs = np.rint(np.fft.fftfreq(new_size) * new_size).astype(int)
+    return np.take(spectrum, np.mod(freqs, spectrum.shape[axis]), axis=axis)
 
 
 def fourier_resample(farfield: FarFieldMatrix, m_new: int, n_new: int) -> FarFieldMatrix:
     """Resample onto new canonical angle grids by trigonometric interpolation.
 
     Entries are periodic in both angles, so resampling acts on the 2-d DFT
-    mode by mode.  Requesting the current shape returns an identical copy,
-    which makes the operation idempotent.  An upsample followed by the
-    matching downsample reproduces the original matrix to rounding.
+    mode by mode: upsampling zero-pads, and downsampling keeps the lowest
+    frequencies, summing the +-N/2 pair of an even target into one bin.
+    Requesting the current shape returns an identical copy, which makes
+    the operation idempotent.  An upsample followed by the matching
+    downsample reproduces the original matrix to rounding.
     """
     if m_new < _MIN_ANGLES or n_new < _MIN_ANGLES:
         raise ValueError(f"resampled grid needs at least {_MIN_ANGLES} angles per axis")
-    m, n = farfield.shape
-    if (m_new, n_new) == (m, n):
-        return FarFieldMatrix(farfield.entries.copy(), farfield.theta.copy(),
-                              farfield.phi.copy(), farfield.k)
+    if (m_new, n_new) == farfield.shape:
+        return FarFieldMatrix(farfield.entries.copy(), farfield.k)
     spectrum = np.fft.fft2(farfield.entries)
-    spectrum = _resample_axis(spectrum, m_new, 0)
-    spectrum = _resample_axis(spectrum, n_new, 1)
-    entries = np.fft.ifft2(spectrum)
-    return FarFieldMatrix.from_entries(entries, farfield.k)
+    for axis, new in enumerate((m_new, n_new)):
+        old = spectrum.shape[axis]
+        if new > old:
+            spectrum = _fold_axis(spectrum, new, axis)
+        elif new < old:
+            cut = _cut_axis(spectrum, new, axis)
+            if new % 2 == 0:
+                shared = (slice(None),) * axis + (new // 2,)
+                cut[shared] += spectrum[shared]
+            spectrum = cut * (new / old)
+    return FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
 
+
+def fold_to_shape(farfield: FarFieldMatrix, m0: int, n0: int) -> FarFieldMatrix:
+    """Samples of the trigonometric interpolant on the m0 x n0 angle grids.
+
+    Upsampling coincides with ``fourier_resample``.  Downsampling differs
+    from its frequency cut: it keeps all the high-frequency energy by
+    folding it onto the coarse grid.  When a source axis is a multiple of
+    the target this is exact subsampling and white noise stays white;
+    for other sizes the coarse bins collect unequal numbers of modes, so
+    norm estimates only transfer after the cut in ``estimator_input``.
+    """
+    spectrum = np.fft.fft2(farfield.entries)
+    for axis, new in enumerate((m0, n0)):
+        if new != spectrum.shape[axis]:
+            spectrum = _fold_axis(spectrum, new, axis)
+    return FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
+
+
+def estimator_input(farfield: FarFieldMatrix, m0: int,
+                    n0: int) -> tuple[FarFieldMatrix, float]:
+    """The m0 x n0 matrix a norm estimator sees, and its noise-norm correction.
+
+    An axis of m > m0 angles is first cut to its m' = m0 * floor(m/m0)
+    lowest frequencies; folding m' onto m0 is then exact subsampling, so
+    every coarse bin collects the same number of modes and white noise
+    arrives white.  The cut keeps m'/m of the noise variance per axis, so
+    a norm estimated on the native matrix is scaled back to the
+    measurement by the returned factor sqrt(m n / (m' n')).  Axes that
+    are already multiples of the native size, and axes that are
+    upsampled, skip the cut and get a factor of exactly 1.
+    """
+    m, n = farfield.shape
+    kept = tuple(size if size <= native else native * (size // native)
+                 for size, native in ((m, m0), (n, n0)))
+    if kept != (m, n):
+        spectrum = np.fft.fft2(farfield.entries)
+        for axis, size in enumerate(kept):
+            spectrum = _cut_axis(spectrum, size, axis) * (size / spectrum.shape[axis])
+        farfield = FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
+    return fold_to_shape(farfield, m0, n0), math.sqrt(m * n / (kept[0] * kept[1]))

@@ -72,7 +72,6 @@ class BoundaryParametrization:
     position: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray], np.ndarray]
-    period: float = 2.0 * np.pi
 
 
 def parametrize(obstacle: Obstacle) -> BoundaryParametrization:

@@ -6,22 +6,24 @@ of the noisy matrix is enough to recover that norm without clean data.
 A small network regresses ln(delta/(sqrt(m)+sqrt(n))) from the log
 singular values; the normalization makes the label transfer across
 measurement-grid sizes, since the operator norm of an i.i.d. perturbation
-scales like sqrt(m)+sqrt(n).  Inputs on finer grids are cut to the lowest
-multiple-of-native frequencies and then folded to the native training
-shape, so white noise reaches the network white; the scale factor uses
-the original shape, corrected for the noise variance the cut removed.
+scales like sqrt(m)+sqrt(n).  ``forward.estimator_input`` cuts inputs on
+finer grids to the lowest multiple-of-native frequencies and then folds
+them to the native training shape, so white noise reaches the network
+white; the scale factor uses the original shape, corrected for the noise
+variance the cut removed.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import archive, nn
-from .forward import FarFieldMatrix, add_noise, disk_farfield, _resample_axis
+# fold_to_shape is re-exported: it is the estimator's documented input map.
+from .forward import (FarFieldMatrix, add_noise, disk_farfield, estimator_input,
+                      fold_to_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -68,89 +70,6 @@ def spectrum_features(farfield: FarFieldMatrix) -> np.ndarray:
     return np.log(np.maximum(values, _SV_FLOOR))
 
 
-def _alias_fold_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    """Fold DFT coefficients onto a coarser axis by frequency congruence.
-
-    This is the mode-space form of sampling the trigonometric interpolant
-    at the coarse nodes: every source mode lands on its frequency mod the
-    new size, with the even-size shared bin acting as a half-weight
-    cosine pair.  Nothing is discarded, so white noise keeps its mean
-    per-entry variance; it stays white only when the old size is a
-    multiple of the new one.  Otherwise coarse bins collect
-    floor(old/new) or ceil(old/new) modes (at 50 -> 30, twenty bins get
-    two and ten get one) and the folded noise spectrum is uneven.
-    """
-    old = spectrum.shape[axis]
-    spectrum = np.moveaxis(spectrum, axis, 0)
-    coeff = spectrum.copy()
-    freqs = np.rint(np.fft.fftfreq(old) * old).astype(int)
-    out = np.zeros((new_size,) + spectrum.shape[1:], dtype=complex)
-    if old % 2 == 0:
-        coeff[old // 2] *= 0.5
-    np.add.at(out, np.mod(freqs, new_size), coeff)
-    if old % 2 == 0:
-        out[(old // 2) % new_size] += coeff[old // 2]
-    out *= new_size / old
-    return np.moveaxis(out, 0, axis)
-
-
-def fold_to_shape(farfield: FarFieldMatrix, m0: int, n0: int) -> FarFieldMatrix:
-    """Samples of the trigonometric interpolant on the m0 x n0 angle grids.
-
-    Upsampling coincides with zero-padded resampling.  Downsampling
-    differs from mode truncation: it keeps all the high-frequency energy
-    by folding it onto the coarse grid.  When a source axis is a multiple
-    of the target this is exact subsampling and white noise stays white;
-    for other sizes the coarse bins collect unequal numbers of modes, so
-    norm estimates only transfer after the cut in ``estimator_input``.
-    """
-    spectrum = np.fft.fft2(farfield.entries)
-    for axis, new_size in ((0, m0), (1, n0)):
-        old = spectrum.shape[axis]
-        if new_size < old:
-            spectrum = _alias_fold_axis(spectrum, new_size, axis)
-        elif new_size > old:
-            spectrum = _resample_axis(spectrum, new_size, axis)
-    return FarFieldMatrix.from_entries(np.fft.ifft2(spectrum), farfield.k)
-
-
-def _trim_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    """Keep the new_size lowest signed frequencies of one axis.
-
-    Unlike the truncation in ``forward._resample_axis``, an even new_size
-    keeps the -new_size/2 mode alone instead of summing it with its
-    +new_size/2 partner, so every kept bin holds exactly one source mode.
-    Coefficients are scaled by new/old like any resampling.
-    """
-    old = spectrum.shape[axis]
-    freqs = np.rint(np.fft.fftfreq(new_size) * new_size).astype(int)
-    return np.take(spectrum, np.mod(freqs, old), axis=axis) * (new_size / old)
-
-
-def estimator_input(farfield: FarFieldMatrix, m0: int,
-                    n0: int) -> tuple[FarFieldMatrix, float]:
-    """The m0 x n0 matrix the estimator sees, and its noise-norm correction.
-
-    An axis of m > m0 angles is first cut to its m' = m0 * floor(m/m0)
-    lowest frequencies; folding m' onto m0 is then exact subsampling, so
-    every coarse bin collects the same number of modes and white noise
-    reaches the network white.  The cut keeps m'/m of the noise variance
-    per axis, so a norm estimated on the native matrix is scaled back to
-    the measurement by the returned factor sqrt(m n / (m' n')).  Axes
-    that are already multiples of the native size, and axes that are
-    upsampled, skip the cut and get a factor of exactly 1.
-    """
-    m, n = farfield.shape
-    kept = tuple(size if size <= native else native * (size // native)
-                 for size, native in ((m, m0), (n, n0)))
-    if kept != (m, n):
-        spectrum = np.fft.fft2(farfield.entries)
-        for axis, size in enumerate(kept):
-            spectrum = _trim_axis(spectrum, size, axis)
-        farfield = FarFieldMatrix.from_entries(np.fft.ifft2(spectrum), farfield.k)
-    return fold_to_shape(farfield, m0, n0), math.sqrt(m * n / (kept[0] * kept[1]))
-
-
 @dataclass(frozen=True)
 class NoiseDataset:
     """Noisy centered-disk spectra with normalized log-norm labels."""
@@ -173,6 +92,8 @@ class NoiseDataset:
                 raise ValueError("dataset arrays disagree on sample count")
         if np.any(self.etas <= 0.0) or np.any(self.radii <= 0.0):
             raise ValueError("noise levels and radii must be positive")
+        if not np.isfinite(self.k) or self.k <= 0.0:
+            raise ValueError(f"wavenumber must be positive, got {self.k}")
 
     @property
     def count(self) -> int:

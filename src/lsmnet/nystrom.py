@@ -53,8 +53,6 @@ class _BoundaryData:
     """Samples of one boundary at the q equispaced parameter points."""
 
     def __init__(self, parametrization, q: int):
-        if abs(parametrization.period - 2.0 * np.pi) > 1e-12:
-            raise ValueError("quadrature requires a 2*pi-periodic parametrization")
         t = 2.0 * np.pi * np.arange(q) / q
         self.t = t
         self.x = parametrization.position(t)
@@ -163,7 +161,7 @@ def _solve_farfield(scene: Scene, k: float, m: int, n: int, q: int) -> FarFieldM
         phase = np.exp(-1j * k * (xhat @ bd.x.T))
         coef = -1j * k * (xhat @ bd.normal.T) - 1j * eta * bd.speed[None, :]
         entries += (np.pi / (q // 2)) * ((phase * coef) @ psi)
-    return FarFieldMatrix(amplitude * entries, theta, phi, k)
+    return FarFieldMatrix(amplitude * entries, k)
 
 
 def nystrom_farfield(scene: Scene, k: float, m: int, n: int,

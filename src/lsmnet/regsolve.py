@@ -17,6 +17,7 @@ rootless instance rather than a bad bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,8 @@ class NoRootError(ArithmeticError):
     """The discrepancy function has no sign change on the search bracket."""
 
 
-def _tensor_points(halfwidth: float, resolution: int) -> np.ndarray:
-    axis = np.linspace(-halfwidth, halfwidth, resolution)
+def tensor_points(axis: np.ndarray) -> np.ndarray:
+    """Row-major points of the square grid axis x axis, x varying fastest."""
     xs, ys = np.meshgrid(axis, axis)
     return np.column_stack([xs.ravel(), ys.ravel()])
 
@@ -49,35 +50,30 @@ class SamplingGrid:
     """Uniform square grid on [-halfwidth, halfwidth]^2, row-major points.
 
     Point p = iy * resolution + ix sits at (axis[ix], axis[iy]): x varies
-    fastest and y runs bottom to top.  Any other point set is rejected,
-    because the sampling paths evaluate through per-axis factors.
+    fastest and y runs bottom to top.  The sampling paths evaluate
+    through per-axis factors, so only the two scalars are stored.
     """
 
     halfwidth: float
     resolution: int
-    points: np.ndarray
 
     def __post_init__(self):
-        if self.halfwidth <= 0.0:
+        if not self.halfwidth > 0.0:
             raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
-        points = np.asarray(self.points, dtype=float)
-        if points.shape != (self.resolution ** 2, 2):
-            raise ValueError("points do not match resolution")
-        tensor = _tensor_points(self.halfwidth, self.resolution)
-        if not np.all(np.abs(points - tensor) <= 1e-12 * self.halfwidth):
-            raise ValueError("points are not the row-major tensor grid on the axis")
-        object.__setattr__(self, "points", points)
 
     @classmethod
     def make(cls, halfwidth: float, resolution: int) -> "SamplingGrid":
-        return cls(float(halfwidth), int(resolution),
-                   _tensor_points(halfwidth, resolution))
+        return cls(float(halfwidth), int(resolution))
 
     @property
     def axis(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.resolution)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return tensor_points(self.axis)
 
     def compatible(self, other: "SamplingGrid") -> bool:
         return (self.resolution == other.resolution
@@ -246,7 +242,7 @@ class RegField:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (self.grid.points.shape[0],):
+        if alpha.shape != (self.grid.resolution ** 2,):
             raise ValueError("alpha field does not match the grid")
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
             raise ValueError("alpha field must be finite and positive")
@@ -269,7 +265,7 @@ class IndicatorField:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.points.shape[0],):
+        if values.shape != (self.grid.resolution ** 2,):
             raise ValueError("indicator values do not match the grid")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("indicator values must be finite and nonnegative")
@@ -309,7 +305,7 @@ def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
     if isinstance(strategy, Field) and not strategy.field.grid.compatible(grid):
         raise ValueError("regularization field lives on a different grid")
 
-    total = grid.points.shape[0]
+    total = grid.resolution ** 2
     alphas = np.empty(total)
     gnorm2 = np.empty(total)
     fallbacks = 0

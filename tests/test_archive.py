@@ -119,6 +119,19 @@ def test_flipped_header_bytes_load_or_raise(name, tmp_path, guarded_trunk):
     assert not set(loaded) & set(must_raise)
 
 
+@pytest.mark.parametrize("name, sign_byte", [("RDS1", 27), ("NDS1", 23)])
+def test_negative_wavenumber_is_refused(name, sign_byte, tmp_path):
+    write, load, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.bin"
+    write(path)
+    blob = bytearray(path.read_bytes())
+    blob[sign_byte] ^= 0x80                           # k -> -k
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="wavenumber must be positive") as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
 def test_trunk_is_checked_against_the_branch_before_it_is_built(
         tmp_path, monkeypatch):
     path = tmp_path / "model.bin"

@@ -103,7 +103,7 @@ class TestModel:
     def test_branch_features_layout(self):
         # row-major real parts first, then row-major imaginary parts
         entries = (np.arange(16.0) + 1j * np.arange(100.0, 116.0)).reshape(4, 4)
-        field = FarFieldMatrix.from_entries(entries, K)
+        field = FarFieldMatrix(entries, K)
         np.testing.assert_array_equal(
             branch_features(field),
             np.concatenate([np.arange(16.0), np.arange(100.0, 116.0)]))
@@ -162,6 +162,12 @@ class TestCorpus:
         with pytest.raises(ValueError, match="binary"):
             TrainingSet(np.zeros((1, 4, 4), dtype=complex), np.zeros((1, 2)),
                         np.ones(1), np.zeros(1), 2 * np.ones((1, 9), dtype=np.uint8), K)
+
+    @pytest.mark.parametrize("k", [-K, 0.0, np.nan, np.inf])
+    def test_rejects_bad_wavenumber(self, k):
+        with pytest.raises(ValueError, match="wavenumber"):
+            TrainingSet(np.zeros((1, 4, 4), dtype=complex), np.zeros((1, 2)),
+                        np.ones(1), np.zeros(1), np.zeros((1, 9), dtype=np.uint8), k)
 
 
 class TestTraining:
@@ -272,22 +278,21 @@ class TestIndicator:
             return (0.3 + np.exp(1j * t) * np.exp(-2j * p)
                     + 0.1 * np.exp(-3j * t + 1j * p))
 
-        fine = FarFieldMatrix.from_entries(synth(theta_f, theta_f), K)
-        coarse = FarFieldMatrix.from_entries(synth(theta_c, theta_c), K)
+        fine = FarFieldMatrix(synth(theta_f, theta_f), K)
+        coarse = FarFieldMatrix(synth(theta_c, theta_c), K)
         grid = SamplingGrid.make(1.0, 6)
         a = indicator_eval(model, fine, grid)
         b = indicator_eval(model, coarse, grid)
         np.testing.assert_allclose(a.values, b.values, rtol=1e-10,
                                    atol=1e-12 * np.max(b.values))
 
-    def test_wavelength_mismatch_warns(self, caplog):
+    def test_wavelength_mismatch_raises(self):
         trunk = make_trunk(1.0, 1.0, 0.5, 0.15)
         model = make_deeponet(trunk, 8, 8, seed=4)
         off_key = disk_farfield((0.0, 0.0), 0.5, 1.7 * K, 8, 8)
         grid = SamplingGrid.make(1.0, 4)
-        with caplog.at_level(logging.WARNING, logger="lsmnet.deeponet"):
+        with pytest.raises(ValueError, match=r"wavelength 0\.588235 .* for 1\b"):
             indicator_eval(model, off_key, grid)
-        assert any("wavelength" in r.message for r in caplog.records)
 
 
 class TestLearnedRegularizer:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lsmnet.forward import (FarFieldMatrix, add_noise, disk_farfield,
-                            fourier_resample, incidence_angles,
+                            fold_to_shape, fourier_resample, incidence_angles,
                             observation_angles, operator_eigenvalues_disk,
                             spectral_norm)
 
@@ -24,17 +24,18 @@ def test_angle_grids():
 
 def test_matrix_validation():
     entries = np.ones((6, 5), dtype=complex)
-    ff = FarFieldMatrix.from_entries(entries, K)
+    ff = FarFieldMatrix(entries, K)
     assert ff.shape == (6, 5)
+    np.testing.assert_array_equal(ff.theta, observation_angles(6))
+    np.testing.assert_array_equal(ff.phi, incidence_angles(5))
     with pytest.raises(ValueError):
-        FarFieldMatrix(entries, observation_angles(6) + 0.1,
-                       incidence_angles(5), K)
+        FarFieldMatrix(entries, -1.0)
     with pytest.raises(ValueError):
-        FarFieldMatrix.from_entries(entries, -1.0)
+        FarFieldMatrix(np.ones((3, 5)), K)
     bad = entries.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        FarFieldMatrix.from_entries(bad, K)
+        FarFieldMatrix(bad, K)
 
 
 def test_centered_disk_depends_on_angle_difference():
@@ -168,7 +169,7 @@ def test_noise_delta_positive_and_stable():
 
 def test_resample_constant():
     entries = np.full((8, 8), 2.0 - 1.0j)
-    ff = FarFieldMatrix.from_entries(entries, K)
+    ff = FarFieldMatrix(entries, K)
     up = fourier_resample(ff, 12, 20)
     np.testing.assert_allclose(up.entries, 2.0 - 1.0j, rtol=0, atol=1e-13)
     assert up.shape == (12, 20)
@@ -179,7 +180,7 @@ def test_resample_band_limited_exact():
     theta = observation_angles(8)
     phi = incidence_angles(8)
     entries = np.exp(1j * theta)[:, None] * np.exp(-2j * phi)[None, :]
-    ff = FarFieldMatrix.from_entries(entries, K)
+    ff = FarFieldMatrix(entries, K)
     up = fourier_resample(ff, 16, 16)
     theta2 = observation_angles(16)
     phi2 = incidence_angles(16)
@@ -190,7 +191,7 @@ def test_resample_band_limited_exact():
 def test_resample_round_trip():
     rng = np.random.default_rng(0)
     entries = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    ff = FarFieldMatrix.from_entries(entries, K)
+    ff = FarFieldMatrix(entries, K)
     back = fourier_resample(fourier_resample(ff, 60, 60), 30, 30)
     np.testing.assert_allclose(back.entries, entries, rtol=0, atol=1e-12)
 
@@ -198,7 +199,7 @@ def test_resample_round_trip():
 def test_resample_preserves_dc():
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
-    ff = FarFieldMatrix.from_entries(entries, K)
+    ff = FarFieldMatrix(entries, K)
     down = fourier_resample(ff, 6, 4)
     assert np.mean(down.entries) == pytest.approx(np.mean(entries),
                                                   rel=1e-12)
@@ -210,3 +211,50 @@ def test_resample_same_shape_copies():
     np.testing.assert_array_equal(same.entries, ff.entries)
     assert same.entries is not ff.entries
 
+
+def _interpolant(entries, shape, cut=False):
+    """Samples, on the canonical grids of `shape`, of the trigonometric
+    interpolant through `entries`, summed term by term from its modes.
+
+    DFT bin i of an N-point axis is the signed frequency i or i - N; an
+    even N's bin N/2 is the cosine pair +-N/2 at half weight each.  With
+    `cut`, an axis going down to M points keeps only the terms |p| <= M//2.
+    """
+    coeff = np.fft.fft2(entries)
+    for axis, new in enumerate(shape):
+        old = coeff.shape[axis]
+        top = new // 2 if cut and new < old else old
+        t = 2.0 * np.pi * np.arange(new) / new
+        basis = np.zeros((new, old), dtype=complex)
+        for i in range(old):
+            p = i if i < old / 2 else i - old
+            for freq, weight in ([(p, 0.5), (-p, 0.5)] if 2 * i == old else [(p, 1.0)]):
+                if abs(freq) <= top:
+                    basis[:, i] += weight * np.exp(1j * freq * t)
+        coeff = np.moveaxis(np.tensordot(basis, coeff, axes=(1, axis)), 0, axis)
+    return coeff / entries.size
+
+
+# Even and odd source axes, each going up and down, onto even and odd
+# targets: every shared +-N/2 bin of both mode maps is exercised.
+RESAMPLING_CASES = [((12, 9), (20, 6)), ((12, 9), (8, 14)),
+                    ((12, 9), (7, 5)), ((11, 10), (16, 21))]
+
+
+def test_fold_samples_the_interpolant():
+    rng = np.random.default_rng(11)
+    for source, target in RESAMPLING_CASES:
+        entries = rng.standard_normal(source) + 1j * rng.standard_normal(source)
+        folded = fold_to_shape(FarFieldMatrix(entries, K), *target)
+        np.testing.assert_allclose(folded.entries, _interpolant(entries, target),
+                                   rtol=0, atol=1e-13)
+
+
+def test_resample_samples_the_cut_interpolant():
+    rng = np.random.default_rng(12)
+    for source, target in RESAMPLING_CASES:
+        entries = rng.standard_normal(source) + 1j * rng.standard_normal(source)
+        resampled = fourier_resample(FarFieldMatrix(entries, K), *target)
+        np.testing.assert_allclose(resampled.entries,
+                                   _interpolant(entries, target, cut=True),
+                                   rtol=0, atol=1e-13)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lsmnet import nn
-from lsmnet.forward import FarFieldMatrix, add_noise, disk_farfield, fourier_resample
+from lsmnet.forward import FarFieldMatrix, add_noise, disk_farfield
 from lsmnet.noisenet import (
     NoiseDataset,
     NoiseNet,
@@ -29,7 +29,7 @@ K = 2.0 * np.pi
 def _white(shape, seed):
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return FarFieldMatrix.from_entries(entries, K)
+    return FarFieldMatrix(entries, K)
 
 
 class TestFolding:
@@ -46,11 +46,6 @@ class TestFolding:
         same = fold_to_shape(field, 24, 24)
         scale = np.max(np.abs(field.entries))
         assert np.max(np.abs(same.entries - field.entries)) < 1e-13 * scale
-
-    def test_upsampling_matches_mode_padding(self):
-        field = _white((12, 12), 2)
-        np.testing.assert_array_equal(fold_to_shape(field, 24, 24).entries,
-                                      fourier_resample(field, 24, 24).entries)
 
     def test_white_noise_keeps_entry_variance(self):
         # Folding rearranges modes without discarding energy, so the
@@ -118,7 +113,7 @@ class TestFeatures:
     def test_floor_keeps_features_finite(self):
         entries = np.zeros((6, 6), dtype=complex)
         entries[0, 0] = 1.0
-        field = FarFieldMatrix.from_entries(entries, K)
+        field = FarFieldMatrix(entries, K)
         feats = spectrum_features(field)
         assert np.all(np.isfinite(feats))
         assert feats[-1] == pytest.approx(np.log(1e-300))
@@ -154,6 +149,12 @@ class TestCorpus:
         with pytest.raises(ValueError, match="sample count"):
             NoiseDataset(np.zeros((3, 10)), np.zeros(2), np.ones(3),
                          np.ones(3), np.ones(3), 10, 10, K)
+
+    @pytest.mark.parametrize("k", [-K, 0.0, np.nan, np.inf])
+    def test_rejects_bad_wavenumber(self, k):
+        with pytest.raises(ValueError, match="wavenumber"):
+            NoiseDataset(np.zeros((3, 10)), np.zeros(3), np.ones(3),
+                         np.ones(3), np.ones(3), 10, 10, k)
 
 
 class TestTraining:

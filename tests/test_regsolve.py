@@ -57,6 +57,7 @@ class TestSamplingGrid:
         np.testing.assert_allclose(grid.points[1], [axis[1], -2.0])
         np.testing.assert_allclose(grid.points[5], [-2.0, axis[1]])
         np.testing.assert_allclose(grid.points[-1], [2.0, 2.0])
+        assert grid.points is grid.points             # built once, on demand
 
     def test_axis_endpoints(self):
         grid = SamplingGrid.make(1.5, 7)
@@ -74,15 +75,7 @@ class TestSamplingGrid:
         with pytest.raises(ValueError):
             SamplingGrid.make(2.0, 1)
         with pytest.raises(ValueError):
-            SamplingGrid(2.0, 3, np.zeros((4, 2)))
-        # Right count, but not the tensor grid the sampling paths factor.
-        points = SamplingGrid.make(2.0, 3).points
-        with pytest.raises(ValueError, match="tensor grid"):
-            SamplingGrid(2.0, 3, points[::-1])
-        with pytest.raises(ValueError, match="tensor grid"):
-            SamplingGrid(2.0, 3, points[:, ::-1])
-        with pytest.raises(ValueError, match="tensor grid"):
-            SamplingGrid(2.5, 3, points)
+            SamplingGrid(float("nan"), 3)
 
 
 class TestSvdTriple:
