@@ -7,7 +7,9 @@ boundary-integral solver assumes disjointness, so it is rejected at
 construction rather than discovered later.
 
 Membership for ellipses and kites uses a winding-number test on a dense
-boundary polygon; disks are answered analytically.
+boundary polygon, run only on the query points inside the polygon's
+bounding box (outside it the winding number is 0); disks are answered
+analytically.
 """
 
 from __future__ import annotations
@@ -215,27 +217,13 @@ def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMP
             inside |= d <= ob.radius
         else:
             boundary = parametrize(ob).position(t)
-            # Chunk queries to bound the (P, S) intermediate.
-            for lo in range(0, points.shape[0], 4096):
-                sl = slice(lo, lo + 4096)
-                inside[sl] |= np.abs(_winding(boundary, points[sl])) > 0.5
+            # The winding number is 0 outside the closed bounding box, so
+            # only points inside it need the test; chunks bound the (P, S)
+            # intermediate.
+            low, high = boundary.min(axis=0), boundary.max(axis=0)
+            candidates = np.flatnonzero(np.all((low <= points) & (points <= high), axis=1))
+            for lo in range(0, candidates.size, 4096):
+                idx = candidates[lo:lo + 4096]
+                inside[idx] |= np.abs(_winding(boundary, points[idx])) > 0.5
     return inside
 
-
-def boundary_distance(scene: Scene, points: np.ndarray, samples: int = 1024) -> np.ndarray:
-    """Approximate distance from each query point to the nearest boundary.
-
-    Sample-based (minimum over `samples` boundary points per obstacle), good
-    to the boundary sample spacing; used for far-exterior masks, not for
-    anything requiring exact distances.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    dmin = np.full(points.shape[0], np.inf)
-    for ob in scene.obstacles:
-        boundary = parametrize(ob).position(t)
-        for lo in range(0, points.shape[0], 4096):
-            sl = slice(lo, lo + 4096)
-            d2 = np.sum((points[sl, None, :] - boundary[None, :, :]) ** 2, axis=-1)
-            dmin[sl] = np.minimum(dmin[sl], np.sqrt(np.min(d2, axis=1)))
-    return dmin

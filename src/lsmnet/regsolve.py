@@ -350,25 +350,29 @@ def normalized(values: np.ndarray) -> np.ndarray:
     return values / peak
 
 
+def _grid_values(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size != grid.resolution ** 2:
+        raise ValueError(f"field has {values.size} values, the "
+                         f"{grid.resolution}x{grid.resolution} grid needs "
+                         f"{grid.resolution ** 2}")
+    return values
+
+
 def write_field_csv(path, grid: SamplingGrid, values: np.ndarray) -> None:
     """Raw field dump, one `x,y,value` row per grid point in grid order."""
-    values = np.asarray(values, dtype=float)
-    axis = grid.axis
-    res = grid.resolution
-    lines = ["x,y,value"]
-    for iy in range(res):
-        for ix in range(res):
-            lines.append(f"{axis[ix]:.17g},{axis[iy]:.17g},"
-                         f"{values[iy * res + ix]:.17g}")
+    values = _grid_values(grid, values)
+    axis = [f"{a:.17g}," for a in grid.axis.tolist()]
+    prefixes = [x + y for y in axis for x in axis]
+    rows = map("{}{:.17g}".format, prefixes, values.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,value\n" + "\n".join(rows) + "\n")
 
 
 def write_field_pgm(path, grid: SamplingGrid, values: np.ndarray) -> None:
     """Binary PGM rendering, min-max scaled; the top image row is y = +halfwidth."""
-    values = np.asarray(values, dtype=float)
     res = grid.resolution
-    image = values.reshape(res, res)
+    image = _grid_values(grid, values).reshape(res, res)
     low, high = float(image.min()), float(image.max())
     if high > low:
         scaled = np.round((image - low) / (high - low) * 255.0).astype(np.uint8)

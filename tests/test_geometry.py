@@ -3,8 +3,57 @@
 import numpy as np
 import pytest
 
-from lsmnet.geometry import (Disk, Ellipse, Kite, Scene, boundary_distance,
+from lsmnet.geometry import (Disk, Ellipse, Kite, Scene, _winding,
                              contains_mask, parametrize)
+from lsmnet.regsolve import SamplingGrid
+
+
+def _boundary_distance(scene, points, samples):
+    """Distance to the nearest of `samples` boundary points per obstacle."""
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    dmin = np.full(points.shape[0], np.inf)
+    for ob in scene.obstacles:
+        boundary = parametrize(ob).position(t)
+        d2 = np.sum((points[:, None, :] - boundary[None, :, :]) ** 2, axis=-1)
+        dmin = np.minimum(dmin, np.sqrt(np.min(d2, axis=1)))
+    return dmin
+
+
+def _unfiltered_mask(scene, points):
+    """Membership with the winding test run on every point, no prefilter."""
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for ob in scene.obstacles:
+        if isinstance(ob, Disk):
+            inside |= np.hypot(points[:, 0] - ob.center[0],
+                               points[:, 1] - ob.center[1]) <= ob.radius
+            continue
+        boundary = parametrize(ob).position(t)
+        # Blocks of 1000 rows only bound memory; each row is independent.
+        for lo in range(0, points.shape[0], 1000):
+            winding = _winding(boundary, points[lo:lo + 1000])
+            inside[lo:lo + 1000] |= np.abs(winding) > 0.5
+    return inside
+
+
+def _bounding_box_points(scene):
+    """Points exactly on each side of each winding-tested obstacle's box:
+    the extreme boundary samples, the corners and the side midpoints."""
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    extra = []
+    for ob in scene.obstacles:
+        if isinstance(ob, Disk):
+            continue
+        boundary = parametrize(ob).position(t)
+        (x0, y0), (x1, y1) = boundary.min(axis=0), boundary.max(axis=0)
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        extra.append(boundary[[np.argmin(boundary[:, 0]),
+                               np.argmax(boundary[:, 0]),
+                               np.argmin(boundary[:, 1]),
+                               np.argmax(boundary[:, 1])]])
+        extra.append([[x0, y0], [x0, y1], [x1, y0], [x1, y1],
+                      [x0, ym], [x1, ym], [xm, y0], [xm, y1]])
+    return np.vstack(extra)
 
 
 def test_disk_parametrization_points():
@@ -113,11 +162,52 @@ def test_winding_mask_against_dense_oracle():
     rng = np.random.default_rng(11)
     points = rng.uniform(-2.0, 2.0, size=(400, 2))
     # Keep clear of the boundary: both sample counts must agree there.
-    keep = np.abs(boundary_distance(scene, points, samples=4096)) > 0.05
+    keep = _boundary_distance(scene, points, samples=4096) > 0.05
     points = points[keep]
     coarse = contains_mask(scene, points)
     dense = contains_mask(scene, points, samples=4096)
     np.testing.assert_array_equal(coarse, dense)
+
+
+_KITE = Kite(center=(0.0, 0.0), scale=0.8)
+_ELLIPSE = Ellipse(center=(0.7, -0.4), semi_axis_a=1.3, semi_axis_b=0.6,
+                   rotation=0.5)
+# At 200^2 this ellipse's box holds more than 4096 grid points.
+_LARGE_ELLIPSE = Ellipse(center=(1.2, -0.8), semi_axis_a=2.0,
+                         semi_axis_b=1.1, rotation=0.3)
+
+
+@pytest.mark.parametrize("resolution", [100, 200])
+@pytest.mark.parametrize("obstacles", [
+    (_KITE,),
+    (_ELLIPSE,),
+    (Kite(center=(-1.8, 1.5), scale=0.7), _LARGE_ELLIPSE,
+     Disk(center=(-2.0, -2.5), radius=0.6)),
+], ids=["kite", "ellipse", "three"])
+def test_mask_matches_unfiltered_winding(obstacles, resolution):
+    """The bounding-box prefilter leaves the mask bitwise unchanged, also
+    for points exactly on the (inclusive) sides of each box."""
+    scene = Scene(obstacles=obstacles)
+    points = np.vstack([SamplingGrid.make(4.0, resolution).points,
+                        _bounding_box_points(scene)])
+    expected = _unfiltered_mask(scene, points)
+    assert expected.any()
+    np.testing.assert_array_equal(contains_mask(scene, points), expected)
+
+
+def test_mask_with_several_candidate_chunks():
+    """More than 4096 points in one box, the last chunk partial: the points
+    of every chunk are tested, the last one included."""
+    points = SamplingGrid.make(4.0, 200).points
+    boundary = parametrize(_LARGE_ELLIPSE).position(
+        np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
+    points = points[np.all((boundary.min(axis=0) <= points)
+                           & (points <= boundary.max(axis=0)), axis=1)]
+    assert points.shape[0] > 4096 and points.shape[0] % 4096 != 0
+    scene = Scene(obstacles=(_LARGE_ELLIPSE,))
+    expected = _unfiltered_mask(scene, points)
+    assert expected[4096 * (points.shape[0] // 4096):].any()
+    np.testing.assert_array_equal(contains_mask(scene, points), expected)
 
 
 def test_scene_rejects_bad_shapes():

@@ -309,6 +309,35 @@ class TestWriters:
         np.testing.assert_array_equal(table[:, 2], values)
         np.testing.assert_array_equal(table[:, :2], grid.points)
 
+    @pytest.mark.parametrize("halfwidth, resolution", [(1.0, 7), (4.0, 101),
+                                                       (1.3, 9)])
+    def test_csv_bytes_match_row_oracle(self, tmp_path, halfwidth,
+                                        resolution):
+        """Byte-for-byte equal to formatting each row on its own."""
+        grid = SamplingGrid.make(halfwidth, resolution)
+        rng = np.random.default_rng(resolution)
+        values = (rng.choice([-1.0, 1.0], size=resolution ** 2)
+                  * 10.0 ** rng.uniform(-300.0, 300.0, size=resolution ** 2))
+        values[:4] = [1e-300, -1e-300, 1e300, -1e300]
+        axis = grid.axis
+        rows = [f"{axis[ix]:.17g},{axis[iy]:.17g},"
+                f"{values[iy * resolution + ix]:.17g}"
+                for iy in range(resolution) for ix in range(resolution)]
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, values)
+        assert path.read_bytes() == ("x,y,value\n" + "\n".join(rows)
+                                     + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("writer", [write_field_csv, write_field_pgm])
+    @pytest.mark.parametrize("size", [15, 17])
+    def test_wrong_length_field_rejected(self, tmp_path, writer, size):
+        grid = SamplingGrid.make(1.0, 4)
+        path = tmp_path / "field.out"
+        with pytest.raises(ValueError, match=f"field has {size} values, "
+                                             f"the 4x4 grid needs 16"):
+            writer(path, grid, np.ones(size))
+        assert not path.exists()
+
     def test_pgm_orientation(self, tmp_path):
         """Top image row is y = +halfwidth: a field that grows with y must
         render 255 in the first row and 0 in the last."""
