@@ -198,12 +198,17 @@ def _winding(boundary: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     boundary: (S, 2) samples in traversal order; points: (P, 2).
     Returns a float array (P,), ~ +1 inside a counterclockwise curve.
+    The polygon is a closed set: a point on a sample or exactly on an
+    edge (cross = 0, dot <= 0) gets winding 1, where the angle sum alone
+    would hinge on the signs of zeros.
     """
     v = boundary[None, :, :] - points[:, None, :]  # (P, S, 2)
     vn = np.roll(v, -1, axis=1)
     cross = v[:, :, 0] * vn[:, :, 1] - v[:, :, 1] * vn[:, :, 0]
     dot = v[:, :, 0] * vn[:, :, 0] + v[:, :, 1] * vn[:, :, 1]
-    return np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
+    winding = np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
+    on_polygon = np.any((cross == 0.0) & (dot <= 0.0), axis=1)
+    return np.where(on_polygon, 1.0, winding)
 
 
 def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMPLES) -> np.ndarray:

@@ -35,8 +35,22 @@ MAGIC_DATASET = b"NDS1"
 # distribution.
 LABEL_MARGIN = 0.5
 
+# The network and the features see only min(m0, n0) of the native shape.
+# Its longer side is held to this many times the shorter, so the native
+# matrix a measurement is folded onto stays within NATIVE_ASPECT * p^2
+# entries for a network of p inputs, whatever an archive's header says.
+NATIVE_ASPECT = 4
+
 _HIDDEN = 100
 _SV_FLOOR = 1e-300
+
+
+def _check_native_shape(m0: int, n0: int) -> None:
+    """Refuse a native shape the estimator cannot have."""
+    if not 1 <= min(m0, n0) or max(m0, n0) > NATIVE_ASPECT * min(m0, n0):
+        raise ValueError(f"native shape (m0, n0) = ({m0}, {n0}): both sides "
+                         f"must be positive and the longer at most "
+                         f"{NATIVE_ASPECT} times the shorter")
 
 
 @dataclass
@@ -50,6 +64,7 @@ class NoiseNet:
     label_max: float = float("nan")
 
     def __post_init__(self):
+        _check_native_shape(self.m0, self.n0)
         expected = (min(self.m0, self.n0), _HIDDEN, 1)
         if self.mlp.sizes != expected:
             raise ValueError(f"network sizes {self.mlp.sizes} do not match "
@@ -84,6 +99,7 @@ class NoiseDataset:
     k: float
 
     def __post_init__(self):
+        _check_native_shape(self.m0, self.n0)
         count = self.features.shape[0]
         if self.features.ndim != 2:
             raise ValueError("features must be (count, n_features)")
@@ -118,6 +134,7 @@ def gen_noise_dataset(k: float, m0: int, n0: int, seed: int, count: int = 400,
         raise ValueError(f"bad radius range {radius_range}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
+    _check_native_shape(m0, n0)
     rng = np.random.Generator(np.random.PCG64(seed))
     etas = np.exp(rng.uniform(np.log(e_lo), np.log(e_hi), size=count))
     radii = rng.uniform(r_lo, r_hi, size=count)
@@ -203,6 +220,7 @@ def save_noisenet(path, net: NoiseNet) -> None:
 def load_noisenet(path) -> NoiseNet:
     with archive.read(path, MAGIC_ESTIMATOR) as reader:
         m0, n0, label_min, label_max = reader.header("2I2d")
+        _check_native_shape(m0, n0)
         return NoiseNet(nn.read_mlp(reader), m0, n0, label_min, label_max)
 
 
@@ -217,6 +235,7 @@ def save_noise_dataset(path, dataset: NoiseDataset) -> None:
 def load_noise_dataset(path) -> NoiseDataset:
     with archive.read(path, MAGIC_DATASET) as reader:
         count, m0, n0, k = reader.header("3Id")
+        _check_native_shape(m0, n0)
         features = reader.array("<f8", (count, min(m0, n0)))
         labels, etas, radii, deltas = (reader.array("<f8", (count,))
                                        for _ in range(4))

@@ -45,17 +45,18 @@ def _nds1(path):
 
 
 # name: (writer, loader, bytes of magic and headers, header bytes whose
-# flip must be refused).  The other header bytes are floats, or the shape
-# field min(m0, n0) does not see, where a flipped byte can still describe
-# a well-formed archive; those flips must load or raise ValueError.
+# flip must be refused).  The other header bytes are floats, where a
+# flipped byte can still describe a well-formed archive; those flips must
+# load or raise ValueError.  Both native-shape fields count: the one that
+# min(m0, n0) does not see must still be within NATIVE_ASPECT of it.
 MLP1_HEADER = 4 + 4 + 3 * 4 + 2
 FORMATS = {
     "RDON": (_rdon, deeponet.load_deeponet, 52 + MLP1_HEADER,
              [*range(0, 4), *range(44, 52), *range(52, 52 + MLP1_HEADER)]),
     "RDS1": (_rds1, deeponet.load_training_set, 28, [*range(0, 20)]),
     "NNET": (_nnet, noisenet.load_noisenet, 28 + MLP1_HEADER,
-             [*range(0, 4), *range(8, 12), *range(28, 28 + MLP1_HEADER)]),
-    "NDS1": (_nds1, noisenet.load_noise_dataset, 24, [*range(0, 12)]),
+             [*range(0, 12), *range(28, 28 + MLP1_HEADER)]),
+    "NDS1": (_nds1, noisenet.load_noise_dataset, 24, [*range(0, 16)]),
 }
 
 
@@ -130,6 +131,21 @@ def test_negative_wavenumber_is_refused(name, sign_byte, tmp_path):
     with pytest.raises(ValueError, match="wavenumber must be positive") as err:
         load(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("name, byte", [("NNET", 7), ("NDS1", 15)])
+def test_unseen_native_side_is_bounded(name, byte, tmp_path):
+    """A flipped top byte of the shape field min(m0, n0) does not see makes
+    m0 = 4,278,190,094, a 3 TiB native matrix for predict_delta; the loader
+    refuses it, naming the file and the field."""
+    write, load, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.bin"
+    write(path)
+    blob = bytearray(path.read_bytes())
+    blob[byte] ^= 0xFF
+    path.write_bytes(blob)
+    err = _outcome(load, path, len(blob))
+    assert err is not None and "native shape (m0, n0) = (" in str(err)
 
 
 def test_trunk_is_checked_against_the_branch_before_it_is_built(

@@ -195,6 +195,22 @@ def test_mask_matches_unfiltered_winding(obstacles, resolution):
     np.testing.assert_array_equal(contains_mask(scene, points), expected)
 
 
+@pytest.mark.parametrize("obstacle", [_KITE, _ELLIPSE, _LARGE_ELLIPSE],
+                         ids=["kite", "ellipse", "large-ellipse"])
+def test_boundary_samples_are_inside(obstacle):
+    """The membership test is the closed set, as for disks and the training
+    labels: every boundary sample is inside, the extreme ones of the
+    bounding box included, where the angle sum meets signed zeros."""
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    boundary = parametrize(obstacle).position(t)
+    extremes = boundary[[np.argmin(boundary[:, 0]), np.argmax(boundary[:, 0]),
+                         np.argmin(boundary[:, 1]), np.argmax(boundary[:, 1])]]
+    np.testing.assert_array_equal(_winding(boundary, extremes), 1.0)
+    scene = Scene(obstacles=(obstacle,))
+    assert contains_mask(scene, extremes).all()
+    assert contains_mask(scene, boundary).all()
+
+
 def test_mask_with_several_candidate_chunks():
     """More than 4096 points in one box, the last chunk partial: the points
     of every chunk are tested, the last one included."""

@@ -150,6 +150,15 @@ class TestCorpus:
             NoiseDataset(np.zeros((3, 10)), np.zeros(2), np.ones(3),
                          np.ones(3), np.ones(3), 10, 10, K)
 
+    @pytest.mark.parametrize("m0, n0", [(41, 10), (10, 41), (0, 10)])
+    def test_native_shape_is_bounded(self, m0, n0):
+        # Refused before any sample is drawn, and for a network too.
+        with pytest.raises(ValueError, match="native shape"):
+            gen_noise_dataset(K, m0, n0, seed=0, count=400)
+        with pytest.raises(ValueError, match="native shape"):
+            NoiseNet(nn.init_mlp((max(1, min(m0, n0)), 100, 1), "relu",
+                                 "identity", 0), m0, n0)
+
     @pytest.mark.parametrize("k", [-K, 0.0, np.nan, np.inf])
     def test_rejects_bad_wavenumber(self, k):
         with pytest.raises(ValueError, match="wavenumber"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 
 from lsmnet import regsolve
 from lsmnet.forward import add_noise, disk_farfield
@@ -198,6 +199,205 @@ class TestMorozov:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             morozov_alpha(_scalar_svd(1.0), np.array([1.0 + 0j]), 0.0)
+
+
+# -- root-finder oracles -------------------------------------------------
+
+def _bisection_oracle(s, beta2, outside, delta):
+    """The fixed 60-halving log-bisection the bracketed hybrid replaced."""
+    s2 = (s ** 2)[:, None]
+    d2s2 = (delta ** 2) * s2
+
+    def disc(alpha):
+        return np.sum((alpha[None, :] ** 2 - d2s2) / (s2 + alpha[None, :]) ** 2
+                      * beta2, axis=0) + outside
+
+    top = s[0] ** 2
+    lo = np.full(outside.shape, regsolve.ALPHA_BRACKET[0] * top)
+    hi = np.full(outside.shape, regsolve.ALPHA_BRACKET[1] * top)
+    no_root = (disc(lo) > 0.0) | (disc(hi) < 0.0)
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        below = disc(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.sqrt(lo * hi), no_root
+
+
+def _find_root_oracle(s, beta2, outside, delta):
+    """SciPy's elementwise bracketed solver in log alpha, rooted points only.
+
+    find_root shrinks its working set as points converge, so each point's
+    column is reached through its index, passed along as an argument."""
+    s2 = (s ** 2)[:, None]
+
+    def disc(x, index):
+        alpha = np.exp(x)
+        cols = index.astype(int)
+        return (np.sum((alpha ** 2 - delta ** 2 * s2) / (s2 + alpha) ** 2
+                       * beta2[:, cols], axis=0) + outside[cols])
+
+    top = s[0] ** 2
+    index = np.arange(outside.size, dtype=float)
+    low = np.full(outside.shape, np.log(regsolve.ALPHA_BRACKET[0] * top))
+    high = np.full(outside.shape, np.log(regsolve.ALPHA_BRACKET[1] * top))
+    result = find_root(disc, (low, high), args=(index,),
+                       tolerances=dict(xatol=1e-15))
+    return np.exp(result.x), result.success
+
+
+def _projections(svdt, rhs):
+    """beta^2 columns and out-of-range energies of right-hand sides."""
+    beta = svdt.u.conj().T @ rhs
+    outside = np.sum(np.abs(rhs - svdt.u @ beta) ** 2, axis=0)
+    return np.abs(beta) ** 2, outside
+
+
+def _criterion_4_instances(seed, count):
+    """(svdt, rhs, delta) drawn like the release gate's criterion 4: exact
+    rank-1 factors every fifth instance, in-range general ones otherwise."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m, n = int(rng.integers(4, 13)), int(rng.integers(4, 13))
+        if trial % 5 == 0:
+            u = rng.normal(size=m) + 1j * rng.normal(size=m)
+            u /= np.linalg.norm(u)
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            sigma = float(10.0 ** rng.uniform(-2.0, 2.0))
+            svdt = SvdTriple(u[:, None], np.array([sigma]), v[None, :].conj())
+            rhs = u * complex(rng.normal(), rng.normal())
+            yield svdt, rhs, float(sigma * 10.0 ** rng.uniform(-3.0, 0.5))
+        else:
+            svdt = svd(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+            raw = rng.normal(size=m) + 1j * rng.normal(size=m)
+            rhs = svdt.u @ (svdt.u.conj().T @ raw)
+            yield svdt, rhs, float(svdt.s[0] * 10.0 ** rng.uniform(-3.0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def kite_50():
+    """Default kite, 50 x 50 data at 10 percent noise, 50^2 sampling grid."""
+    from lsmnet.geometry import Kite, Scene
+    from lsmnet.nystrom import nystrom_farfield
+
+    clean = nystrom_farfield(Scene((Kite((0.0, 0.0), 0.8),)), K, 50, 50)
+    noisy, realization = add_noise(clean, 0.1, seed=21)
+    return noisy, realization.delta, svd(noisy), SamplingGrid.make(4.0, 50)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts calls of the vectorized discrepancy: one per root-finder step
+    plus the two bracket-end checks, for every block of points."""
+    calls = []
+    real = regsolve._discrepancies
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(regsolve, "_discrepancies", counted)
+    return calls
+
+
+class TestRootFinder:
+    def test_criterion_4_instances_match_both_oracles(self, evaluations):
+        for svdt, rhs, delta in _criterion_4_instances(20260821, 300):
+            beta2, outside = _projections(svdt, rhs[:, None])
+            evaluations.clear()
+            root, no_root = regsolve._root_alpha(svdt.s, beta2, outside, delta)
+            assert not no_root[0]
+            assert len(evaluations) <= 2 + 20
+            bisected, _ = _bisection_oracle(svdt.s, beta2, outside, delta)
+            found, success = _find_root_oracle(svdt.s, beta2, outside, delta)
+            assert success[0]
+            assert abs(root[0] / bisected[0] - 1.0) <= 1e-12
+            assert abs(root[0] / found[0] - 1.0) <= 1e-12
+            if svdt.s.size == 1:
+                assert abs(root[0] / (delta * svdt.s[0]) - 1.0) <= 1e-12
+            value = discrepancy(svdt, rhs, root[0], delta)
+            assert abs(value) <= 1e-12 * np.linalg.norm(rhs) ** 2
+
+    @pytest.mark.parametrize("decades", [-15.9, -15.0, 5.0, 5.9])
+    def test_roots_near_either_bracket_end(self, decades):
+        """Rank-1 roots sit at delta*sigma, so delta picks where in the
+        bracket [1e-16, 1e6] * sigma^2 the root falls."""
+        sigma = 0.7
+        svdt = _scalar_svd(sigma)
+        delta = sigma * 10.0 ** decades
+        beta2, outside = np.ones((1, 1)), np.zeros(1)
+        root, no_root = regsolve._root_alpha(svdt.s, beta2, outside, delta)
+        bisected, _ = _bisection_oracle(svdt.s, beta2, outside, delta)
+        found, _ = _find_root_oracle(svdt.s, beta2, outside, delta)
+        assert not no_root[0]
+        for reference in (delta * sigma, bisected[0], found[0]):
+            assert abs(root[0] / reference - 1.0) <= 1e-12
+
+    def test_kite_matches_both_oracles(self, kite_50, monkeypatch):
+        """Every block lsm_indicator solves is also handed to the oracles."""
+        noisy, delta, svdt, grid = kite_50
+        blocks = []
+        real = regsolve._root_alpha
+
+        def spy(s, beta2, outside, delta):
+            root, no_root = real(s, beta2, outside, delta)
+            blocks.append((root, no_root, _bisection_oracle(s, beta2, outside, delta),
+                           _find_root_oracle(s, beta2, outside, delta)))
+            return root, no_root
+
+        monkeypatch.setattr(regsolve, "_root_alpha", spy)
+        result = lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt)
+        assert result.fallback_count == 0
+        for root, no_root, (bisected, bisect_none), (found, success) in blocks:
+            np.testing.assert_array_equal(no_root, bisect_none)
+            np.testing.assert_allclose(root, bisected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(root, found, rtol=1e-12, atol=0.0)
+            assert success.all()
+
+    def test_no_root_mask_and_fallbacks_match_bisection(self, kite_50, monkeypatch):
+        """A rank-40 truncation leaves out-of-range energy, and at 0.3 delta
+        only part of the grid has a root: the same points fall back as
+        under bisection."""
+        noisy, delta, svdt, grid = kite_50
+        svdt = SvdTriple(svdt.u[:, :40], svdt.s[:40], svdt.vh[:40])
+        masks = []
+        real = regsolve._root_alpha
+
+        def spy(s, beta2, outside, delta):
+            root, no_root = real(s, beta2, outside, delta)
+            bisected, bisect_none = _bisection_oracle(s, beta2, outside, delta)
+            np.testing.assert_array_equal(no_root, bisect_none)
+            rooted = ~no_root
+            np.testing.assert_allclose(root[rooted], bisected[rooted], rtol=1e-12)
+            masks.append(bisect_none)
+            return root, no_root
+
+        monkeypatch.setattr(regsolve, "_root_alpha", spy)
+        result = lsm_indicator(noisy, grid, Morozov(0.3 * delta), svdt=svdt)
+        expected = int(sum(mask.sum() for mask in masks))
+        assert 0 < expected < grid.resolution ** 2
+        assert result.fallback_count == expected
+
+    def test_steps_stop_at_convergence_and_never_pass_the_cap(
+            self, kite_50, evaluations, monkeypatch):
+        """Three blocks of rows (1000, 1000 and 500 points): each costs two
+        bracket-end checks plus one evaluation per step, the steps end once
+        every point of the block has converged, and never exceed the cap."""
+        noisy, delta, svdt, grid = kite_50
+        monkeypatch.setattr(regsolve, "_CHUNK", 1000)
+        lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt)
+        assert evaluations[:2] == [1000, 1000] and evaluations[-1] == 500
+        assert evaluations.count(500) <= 2 + 20
+        assert len(evaluations) <= 3 * (2 + 20)
+        monkeypatch.setattr(regsolve, "BISECT_ITERATIONS", 3)
+        evaluations.clear()
+        capped = lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt)
+        assert evaluations == [1000] * 10 + [500] * 5
+        # Three steps leave a wide bracket; the end returned lies on it.
+        top = svdt.s[0] ** 2
+        assert np.all(capped.alpha.alpha >= regsolve.ALPHA_BRACKET[0] * top)
+        assert np.all(capped.alpha.alpha <= regsolve.ALPHA_BRACKET[1] * top)
 
 
 class TestIndicator:
