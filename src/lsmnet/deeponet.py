@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import archive, nn, noisenet
-from .forward import FarFieldMatrix, disk_farfield, fourier_resample, add_noise
+from .forward import FarFieldMatrix, add_noise, disk_farfields, fourier_resample
 from .regsolve import IndicatorField, RegField, SamplingGrid, tensor_points
 
 logger = logging.getLogger(__name__)
@@ -40,6 +40,8 @@ ALPHA_FLOOR_REL = 1e-8
 _HIDDEN_FACTOR = 3
 _SAMPLES_PER_CENTER = 16
 _POSITION_REFINEMENT = 4
+# Disks per broadcast of the label test.
+_LABEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,17 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     else:
         etas = np.zeros(count)
 
-    matrices = np.empty((count, m0, n0), dtype=complex)
+    matrices = disk_farfields(positions, radii, k, m0, n0)
+    if noise_eta_range is not None:
+        for i in range(count):
+            noisy, _ = add_noise(FarFieldMatrix(matrices[i], k), etas[i],
+                                 int(seeds[i]))
+            matrices[i] = noisy.entries
     labels = np.empty((count, trunk.p_h), dtype=np.uint8)
-    for i in range(count):
-        farfield = disk_farfield(positions[i], radii[i], k, m0, n0)
-        if noise_eta_range is not None:
-            farfield, _ = add_noise(farfield, etas[i], int(seeds[i]))
-        matrices[i] = farfield.entries
-        inside = np.linalg.norm(trunk.centers - positions[i], axis=1) <= radii[i]
-        labels[i] = inside.astype(np.uint8)
+    for lo in range(0, count, _LABEL_BLOCK):
+        block = slice(lo, lo + _LABEL_BLOCK)
+        gaps = trunk.centers[None, :, :] - positions[block, None, :]
+        labels[block] = np.linalg.norm(gaps, axis=2) <= radii[block, None]
     return TrainingSet(matrices, positions, radii, etas, labels, float(k))
 
 
@@ -248,10 +252,7 @@ def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
             err = predicted - targets[idx]
             squared_sum += float(np.sum(err ** 2))
             upstream = (2.0 / err.size) * (err @ gram)
-            wg, bg, _ = nn.backward(model.branch, xb, upstream, trace=trace)
-            grads = []
-            for w, b in zip(wg, bg):
-                grads.extend([w, b])
+            grads = nn.parameter_grads(model.branch, xb, upstream, trace=trace)
             nn.adam_step(state, params, grads, nn.lr_at(schedule, state.step))
         mean_loss = squared_sum / (count * model.trunk.p_h)
         if not np.isfinite(mean_loss):

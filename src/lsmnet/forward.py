@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_j, hankel1
+from .specialfn import bessel_j, bessel_y
 
 # Name recorded in run manifests so a reader can reproduce noise draws.
 PRNG_NAME = "PCG64"
@@ -85,9 +85,31 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(entries, compute_uv=False)[0])
 
 
-def disk_farfield(center, radius: float, k: float, m: int, n: int,
-                  truncation: int | None = None) -> FarFieldMatrix:
-    """Far-field matrix of a sound-soft disk via the separated series.
+# Disks per block of disk_farfields: about this many matrix entries (72
+# disks at 30 x 30), so each of a block's three complex temporaries is
+# about 1 MB.  Larger blocks were no faster and held more memory.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Row i holds J_p(kr_i)/H_p(kr_i) for p = 0..orders[i], zeros beyond.
+
+    Each order takes one vectorised J_p and one Y_p call over the rows
+    that need it; every ratio is then Python's float / complex division,
+    so a row is bit for bit the scalar series' coefficients.
+    """
+    table = np.zeros((kr.size, int(orders.max()) + 1), dtype=complex)
+    for p in range(table.shape[1]):
+        rows = np.flatnonzero(orders >= p)
+        js = bessel_j(p, kr[rows]).tolist()
+        ys = bessel_y(p, kr[rows]).tolist()
+        table[rows, p] = [j / (j + 1j * y) for j, y in zip(js, ys)]
+    return table
+
+
+def disk_farfields(centers, radii, k: float, m: int, n: int,
+                   truncation: int | None = None) -> np.ndarray:
+    """Far-field entries of many sound-soft disks, (count, m, n).
 
     The scattered field of a disk of radius R centered at c is known in
     closed form; the far field under incidence direction d and observation
@@ -97,9 +119,79 @@ def disk_farfield(center, radius: float, k: float, m: int, n: int,
                 * sum_{|p| <= N} (J_p(kR)/H_p(kR)) * exp(i*p*(theta - phi))
 
     where H_p is the first-kind Hankel function.  The series is symmetric
-    in p, so it collapses to a cosine sum over p >= 0.  The translation
+    in p, so it collapses to a cosine sum over p >= 0, and the translation
     factor exp(i*k*(d - x).c) moves the centered solution to center c.
+    Each disk is summed to its own N = ceil(kR) + 20 unless a truncation
+    is given.  Disks go in blocks of about _BLOCK_ENTRIES entries: a block
+    shares one ratio table, whose entries past a disk's N are exact zeros,
+    and one cosine table per order, and each disk's sum runs over p in the
+    same order as for a single disk, so every entry is independent of the
+    batch it came in.
     """
+    try:
+        centers = np.asarray(centers, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"centers and radii must be numeric arrays: {exc}") from None
+    if (centers.ndim != 2 or centers.shape[1] != 2
+            or radii.shape != (centers.shape[0],)):
+        raise ValueError(f"centers {centers.shape} and radii {radii.shape} must "
+                         f"be (count, 2) and (count,)")
+    # Written so that NaN fails: ceil(NaN) has no truncation.
+    bad = np.flatnonzero(~(np.isfinite(centers).all(axis=1) & (radii > 0.0)
+                           & np.isfinite(radii)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"disk {i}: center {centers[i].tolist()} and radius "
+                         f"{radii[i]!r} must be finite, the radius positive")
+    if not np.isfinite(k) or k <= 0.0:
+        raise ValueError(f"wavenumber must be positive, got {k}")
+    kr = k * radii
+    if truncation is None:
+        orders = np.ceil(kr).astype(int) + 20
+    else:
+        orders = np.full(kr.shape, int(truncation))
+    # The tail of the series decays super-exponentially once p > kR; eight
+    # extra orders is the minimum margin for full double accuracy.
+    short = np.flatnonzero(kr > orders - 8)
+    if short.size:
+        i = short[0]
+        raise ValueError(
+            f"disk {i}: truncation {orders[i]} too small for k*R = {kr[i]:.3g}; "
+            f"need at least ceil(k*R) + 8")
+
+    theta = observation_angles(m)
+    phi = incidence_angles(n)
+    diff = theta[:, None] - phi[None, :]
+    amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
+    out = np.empty((kr.size, m, n), dtype=complex)
+    size = max(1, _BLOCK_ENTRIES // (m * n))
+    for lo in range(0, kr.size, size):
+        block = slice(lo, lo + size)
+        ratios = _ratio_table(kr[block], orders[block])
+        series = np.empty((ratios.shape[0], m, n), dtype=complex)
+        series[:] = ratios[:, 0, None, None]
+        term = np.empty_like(series)
+        for p in range(1, ratios.shape[1]):
+            series += np.multiply((2.0 * ratios[:, p])[:, None, None],
+                                  np.cos(p * diff), out=term)
+        del term
+        # exp(i*k*(d - x).c) factors into an outer product per disk.
+        c = centers[block]
+        xhat_dot_c = c[:, :1] * np.cos(theta) + c[:, 1:] * np.sin(theta)
+        dhat_dot_c = c[:, :1] * np.cos(phi) + c[:, 1:] * np.sin(phi)
+        shift = (np.exp(-1j * k * xhat_dot_c)[:, :, None]
+                 * np.exp(1j * k * dhat_dot_c)[:, None, :])
+        # amplitude * shift * series, in that operand order: the fused
+        # complex product is not bitwise commutative.
+        np.multiply(amplitude, shift, out=shift)
+        np.multiply(shift, series, out=out[block])
+    return out
+
+
+def disk_farfield(center, radius: float, k: float, m: int, n: int,
+                  truncation: int | None = None) -> FarFieldMatrix:
+    """Far-field matrix of one sound-soft disk; see disk_farfields."""
     center = np.asarray(center, dtype=float)
     if center.shape != (2,):
         raise ValueError("center must be a 2-vector")
@@ -107,33 +199,8 @@ def disk_farfield(center, radius: float, k: float, m: int, n: int,
         raise ValueError(f"radius must be positive, got {radius}")
     if k <= 0.0:
         raise ValueError(f"wavenumber must be positive, got {k}")
-    if truncation is None:
-        truncation = int(np.ceil(k * radius)) + 20
-    # The tail of the series decays super-exponentially once p > kR; eight
-    # extra orders is the minimum margin for full double accuracy.
-    if k * radius > truncation - 8:
-        raise ValueError(
-            f"truncation {truncation} too small for k*R = {k * radius:.3g}; "
-            f"need at least ceil(k*R) + 8")
-
-    theta = observation_angles(m)
-    phi = incidence_angles(n)
-    kr = k * radius
-    ratios = np.array([bessel_j(p, kr) / hankel1(p, kr)
-                       for p in range(truncation + 1)])
-
-    diff = theta[:, None] - phi[None, :]
-    series = np.full((m, n), ratios[0], dtype=complex)
-    for p in range(1, truncation + 1):
-        series += 2.0 * ratios[p] * np.cos(p * diff)
-
-    # exp(i*k*(d - x).c) factors into an outer product over the two grids.
-    xhat_dot_c = center[0] * np.cos(theta) + center[1] * np.sin(theta)
-    dhat_dot_c = center[0] * np.cos(phi) + center[1] * np.sin(phi)
-    shift = np.exp(-1j * k * xhat_dot_c)[:, None] * np.exp(1j * k * dhat_dot_c)[None, :]
-
-    amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    return FarFieldMatrix(amplitude * shift * series, k)
+    return FarFieldMatrix(disk_farfields(center[None, :], [radius], k, m, n,
+                                         truncation)[0], k)
 
 
 def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray:
@@ -146,8 +213,7 @@ def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray
         raise ValueError("radius and wavenumber must be positive")
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    kr = k * radius
-    ratios = np.array([bessel_j(p, kr) / hankel1(p, kr) for p in range(p_max + 1)])
+    ratios = _ratio_table(np.array([k * radius]), np.array([p_max]))[0]
     return -np.sqrt(8.0 * np.pi / k) * np.exp(-1j * np.pi / 4.0) * ratios
 
 

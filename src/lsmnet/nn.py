@@ -131,13 +131,16 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def backward(mlp: Mlp, x: np.ndarray, upstream: np.ndarray, trace=None):
+def backward(mlp: Mlp, x: np.ndarray, upstream: np.ndarray, trace=None,
+             input_grad: bool = True):
     """Exact gradients of sum(upstream * forward(x)) in the batch sense.
 
     Returns (weight_grads, bias_grads, input_grad).  For a batch input the
     parameter gradients accumulate over rows, so the caller controls the
     loss scaling entirely through upstream.  A (pre, act) pair from
     forward_trace on the same input may be passed to skip the recompute.
+    With input_grad=False the last product through the first layer's
+    weights is skipped and None takes the input gradient's place.
     """
     batch, single = _as_batch(x, mlp.sizes[0])
     upstream = np.asarray(upstream, dtype=float)
@@ -155,11 +158,20 @@ def backward(mlp: Mlp, x: np.ndarray, upstream: np.ndarray, trace=None):
     for l in range(len(mlp.weights) - 1, -1, -1):
         weight_grads[l] = act[l].T @ delta
         bias_grads[l] = delta.sum(axis=0)
+        if l == 0 and not input_grad:
+            return weight_grads, bias_grads, None
         delta = delta @ mlp.weights[l].T
         if l > 0:
             delta = delta * _activate_grad(mlp.activation, pre[l - 1], act[l])
-    input_grad = delta[0] if single else delta
-    return weight_grads, bias_grads, input_grad
+    return weight_grads, bias_grads, delta[0] if single else delta
+
+
+def parameter_grads(mlp: Mlp, x: np.ndarray, upstream: np.ndarray,
+                    trace=None) -> list:
+    """Gradients in the order of `parameters`, without the input gradient."""
+    weight_grads, bias_grads, _ = backward(mlp, x, upstream, trace=trace,
+                                           input_grad=False)
+    return [g for pair in zip(weight_grads, bias_grads) for g in pair]
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import archive, nn
 # fold_to_shape is re-exported: it is the estimator's documented input map.
-from .forward import (FarFieldMatrix, add_noise, disk_farfield, estimator_input,
+from .forward import (FarFieldMatrix, add_noise, disk_farfields, estimator_input,
                       fold_to_shape)
 
 logger = logging.getLogger(__name__)
@@ -143,9 +143,10 @@ def gen_noise_dataset(k: float, m0: int, n0: int, seed: int, count: int = 400,
     scale = np.sqrt(m0) + np.sqrt(n0)
     features = np.empty((count, min(m0, n0)))
     deltas = np.empty(count)
+    clean = disk_farfields(np.zeros((count, 2)), radii, k, m0, n0)
     for i in range(count):
-        clean = disk_farfield((0.0, 0.0), radii[i], k, m0, n0)
-        noisy, realization = add_noise(clean, etas[i], int(seeds[i]))
+        noisy, realization = add_noise(FarFieldMatrix(clean[i], k), etas[i],
+                                       int(seeds[i]))
         features[i] = spectrum_features(noisy)
         deltas[i] = realization.delta
     labels = np.log(deltas / scale)
@@ -181,10 +182,8 @@ def train_noisenet(net: NoiseNet, dataset: NoiseDataset, epochs: int = 300,
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch + 1}: loss {loss}")
         upstream = (2.0 / err.size) * err
-        wg, bg, _ = nn.backward(net.mlp, dataset.features, upstream, trace=trace)
-        grads = []
-        for w, b in zip(wg, bg):
-            grads.extend([w, b])
+        grads = nn.parameter_grads(net.mlp, dataset.features, upstream,
+                                   trace=trace)
         nn.adam_step(state, params, grads)
         losses.append(loss)
     return losses

@@ -97,7 +97,8 @@ def _sample_factors(network: Mlp, row: np.ndarray):
     deltas = [np.empty((outputs, width)) for width in network.sizes[1:]]
     one_hot = np.eye(outputs)
     for o in range(outputs):
-        _, bias_grads, _ = nn.backward(network, row, one_hot[o], trace=trace)
+        _, bias_grads, _ = nn.backward(network, row, one_hot[o], trace=trace,
+                                       input_grad=False)
         for store, grad in zip(deltas, bias_grads):
             store[o] = grad
     return acts, deltas

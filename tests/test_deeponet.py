@@ -5,7 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from lsmnet import nn
+from test_forward import scalar_disk_farfield
+
+from lsmnet import deeponet, forward, nn
 from lsmnet.deeponet import (
     S_MIN,
     RbfDeepOnet,
@@ -26,9 +28,37 @@ from lsmnet.deeponet import (
 )
 from lsmnet.forward import FarFieldMatrix, add_noise, disk_farfield
 from lsmnet.noisenet import gen_noise_dataset, make_noisenet, predict_delta, train_noisenet
-from lsmnet.regsolve import SamplingGrid
+from lsmnet.regsolve import SamplingGrid, tensor_points
 
 K = 2.0 * np.pi
+
+
+def per_disk_training_set(trunk, k, m0, n0, seed, radius_range, noise_eta_range=None):
+    """Oracle: the corpus generated one disk at a time, as before batching.
+
+    Same draws in the same order; each matrix is the scalar series, each
+    label row its own norm test.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    halfwidth = trunk.lam * trunk.L
+    positions = tensor_points(np.linspace(-halfwidth, halfwidth, 4 * trunk.n_h))
+    count = positions.shape[0]
+    radii = rng.uniform(*radius_range, size=count)
+    if noise_eta_range is not None:
+        etas = np.exp(rng.uniform(np.log(noise_eta_range[0]),
+                                  np.log(noise_eta_range[1]), size=count))
+        seeds = rng.integers(0, 2 ** 63, size=count)
+    matrices = np.empty((count, m0, n0), dtype=complex)
+    labels = np.empty((count, trunk.p_h), dtype=np.uint8)
+    for i in range(count):
+        farfield = FarFieldMatrix(
+            scalar_disk_farfield(positions[i], radii[i], k, m0, n0), k)
+        if noise_eta_range is not None:
+            farfield, _ = add_noise(farfield, etas[i], int(seeds[i]))
+        matrices[i] = farfield.entries
+        inside = np.linalg.norm(trunk.centers - positions[i], axis=1) <= radii[i]
+        labels[i] = inside.astype(np.uint8)
+    return positions, radii, matrices, labels
 
 
 def _tiny_trunk():
@@ -126,6 +156,22 @@ class TestCorpus:
         i = 31
         want = disk_farfield(corpus.centers[i], corpus.radii[i], K, 6, 6)
         np.testing.assert_array_equal(corpus.matrices[i], want.entries)
+
+    @pytest.mark.parametrize("noise", [None, (0.01, 0.2)])
+    def test_blocks_match_the_per_disk_oracle(self, monkeypatch, noise):
+        # 144 disks in blocks of 20 (7 x 6 x 20 entries) and label blocks
+        # of 25: both leave a partial last block.
+        monkeypatch.setattr(forward, "_BLOCK_ENTRIES", 20 * 7 * 6)
+        monkeypatch.setattr(deeponet, "_LABEL_BLOCK", 25)
+        trunk = _tiny_trunk()
+        corpus = gen_training_set(trunk, K, 7, 6, seed=3,
+                                  radius_range=(0.2, 2.5), noise_eta_range=noise)
+        positions, radii, matrices, labels = per_disk_training_set(
+            trunk, K, 7, 6, 3, (0.2, 2.5), noise)
+        np.testing.assert_array_equal(corpus.centers, positions)
+        np.testing.assert_array_equal(corpus.radii, radii)
+        np.testing.assert_array_equal(corpus.matrices, matrices)
+        np.testing.assert_array_equal(corpus.labels, labels)
 
     def test_seed_pins_the_corpus(self):
         trunk = _tiny_trunk()

@@ -5,12 +5,39 @@ import math
 import numpy as np
 import pytest
 
+from lsmnet import forward
 from lsmnet.forward import (FarFieldMatrix, add_noise, disk_farfield,
-                            fold_to_shape, fourier_resample, incidence_angles,
+                            disk_farfields, fold_to_shape, fourier_resample, incidence_angles,
                             observation_angles, operator_eigenvalues_disk,
                             spectral_norm)
+from lsmnet.specialfn import bessel_j, hankel1
 
 K = 2.0 * np.pi
+
+
+def scalar_disk_farfield(center, radius, k, m, n, truncation=None):
+    """Oracle: the one-disk separated series, one scalar ratio per order.
+
+    This is the series as it was summed before disks were batched; every
+    batched entry must equal it bit for bit.
+    """
+    center = np.asarray(center, dtype=float)
+    if truncation is None:
+        truncation = int(np.ceil(k * radius)) + 20
+    theta = observation_angles(m)
+    phi = incidence_angles(n)
+    kr = k * radius
+    ratios = np.array([bessel_j(p, kr) / hankel1(p, kr)
+                       for p in range(truncation + 1)])
+    diff = theta[:, None] - phi[None, :]
+    series = np.full((m, n), ratios[0], dtype=complex)
+    for p in range(1, truncation + 1):
+        series += 2.0 * ratios[p] * np.cos(p * diff)
+    xhat_dot_c = center[0] * np.cos(theta) + center[1] * np.sin(theta)
+    dhat_dot_c = center[0] * np.cos(phi) + center[1] * np.sin(phi)
+    shift = np.exp(-1j * k * xhat_dot_c)[:, None] * np.exp(1j * k * dhat_dot_c)[None, :]
+    amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
+    return amplitude * shift * series
 
 
 def test_angle_grids():
@@ -83,6 +110,101 @@ def test_truncation_guard():
     with pytest.raises(ValueError):
         disk_farfield((0.0, 0.0), 1.0, K, 8, 8, truncation=10)
     disk_farfield((0.0, 0.0), 1.0, K, 8, 8, truncation=16)
+
+
+def _disks(count, seed, r_lo=0.05, r_hi=3.0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 3.0, size=(count, 2)), rng.uniform(r_lo, r_hi, size=count)
+
+
+def _assert_matches_oracle(entries, centers, radii, k, m, n, truncation=None):
+    assert entries.shape == (len(radii), m, n)
+    for i, (center, radius) in enumerate(zip(centers, radii)):
+        want = scalar_disk_farfield(center, radius, k, m, n, truncation)
+        np.testing.assert_array_equal(entries[i], want, err_msg=f"disk {i}")
+
+
+class TestBatchedDisks:
+    def test_block_spanning_several_truncations_is_bitwise(self):
+        # kR from 0.3 to 19: truncations 21 through 39 share one block.
+        centers, radii = _disks(40, 0)
+        assert len(set(np.ceil(K * radii).astype(int))) > 10
+        entries = disk_farfields(centers, radii, K, 12, 12)
+        _assert_matches_oracle(entries, centers, radii, K, 12, 12)
+
+    def test_rectangular_grid_is_bitwise(self):
+        centers, radii = _disks(9, 1)
+        entries = disk_farfields(centers, radii, 1.7 * K, 10, 17)
+        _assert_matches_oracle(entries, centers, radii, 1.7 * K, 10, 17)
+
+    def test_explicit_truncation_is_bitwise(self):
+        centers, radii = _disks(7, 2, r_hi=1.0)
+        entries = disk_farfields(centers, radii, K, 8, 6, truncation=16)
+        _assert_matches_oracle(entries, centers, radii, K, 8, 6, truncation=16)
+
+    def test_partial_last_block_is_bitwise(self, monkeypatch):
+        # Three disks per block: blocks of 3, 3, 3 and a last one of 1.
+        monkeypatch.setattr(forward, "_BLOCK_ENTRIES", 3 * 8 * 8)
+        centers, radii = _disks(10, 3)
+        entries = disk_farfields(centers, radii, K, 8, 8)
+        _assert_matches_oracle(entries, centers, radii, K, 8, 8)
+
+    def test_default_blocks_at_corpus_shape_are_bitwise(self):
+        # More disks than one default block holds at 30 x 30.
+        count = forward._BLOCK_ENTRIES // 900 + 5
+        centers, radii = _disks(count, 4, r_lo=0.5, r_hi=1.5)
+        entries = disk_farfields(centers, radii, K, 30, 30)
+        _assert_matches_oracle(entries, centers, radii, K, 30, 30)
+
+    def test_ratio_table_stops_at_each_disks_truncation(self):
+        kr = np.array([0.4, 7.9, 3.0, 12.5])
+        orders = np.array([21, 28, 23, 33])
+        table = forward._ratio_table(kr, orders)
+        assert table.shape == (4, 34)
+        for row, x, top in zip(table, kr, orders):
+            want = [bessel_j(p, x) / hankel1(p, x) for p in range(top + 1)]
+            np.testing.assert_array_equal(row[:top + 1], want)
+            assert np.all(row[:top + 1] != 0.0) and np.all(row[top + 1:] == 0.0)
+
+    def test_one_disk_call_is_the_batched_series(self):
+        entries = disk_farfield((0.3, -1.2), 0.8, K, 9, 11).entries
+        np.testing.assert_array_equal(
+            entries, scalar_disk_farfield((0.3, -1.2), 0.8, K, 9, 11))
+
+    def test_eigenvalues_share_the_ratio_table(self):
+        lam = operator_eigenvalues_disk(0.9, K, 25)
+        ratios = np.array([bessel_j(p, K * 0.9) / hankel1(p, K * 0.9)
+                           for p in range(26)])
+        np.testing.assert_array_equal(
+            lam, -np.sqrt(8.0 * np.pi / K) * np.exp(-1j * np.pi / 4.0) * ratios)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5])
+    def test_refuses_bad_radius_by_index(self, radius):
+        centers, radii = _disks(5, 5)
+        radii[3] = radius
+        with pytest.raises(ValueError, match="disk 3: "):
+            disk_farfields(centers, radii, K, 8, 8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_center_by_index(self, value):
+        centers, radii = _disks(5, 6)
+        centers[2, 1] = value
+        with pytest.raises(ValueError, match="disk 2: "):
+            disk_farfields(centers, radii, K, 8, 8)
+
+    @pytest.mark.parametrize("centers, radii", [
+        (np.zeros((4, 3)), np.ones(4)),
+        (np.zeros(2), np.ones(1)),
+        (np.zeros((4, 2)), np.ones(3)),
+        ([[0.0, 0.0], [1.0]], [1.0, 1.0]),
+    ])
+    def test_refuses_malformed_centers(self, centers, radii):
+        with pytest.raises(ValueError, match="centers"):
+            disk_farfields(centers, radii, K, 8, 8)
+
+    def test_truncation_guard_names_the_disk(self):
+        with pytest.raises(ValueError, match=r"disk 1: truncation 10 too small"):
+            disk_farfields(np.zeros((2, 2)), [0.1, 1.0], K, 8, 8, truncation=10)
 
 
 def test_eigenvalue_decay_and_tail():

@@ -18,6 +18,7 @@ from lsmnet.nn import (
     lr_at,
     make_adam,
     mlp_to_bytes,
+    parameter_grads,
     parameters,
     read_mlp,
 )
@@ -198,6 +199,20 @@ class TestBackward:
         direct = backward(mlp, batch, coeff)
         cached = backward(mlp, batch, coeff, trace=trace)
         for a, b in zip(direct[0] + direct[1], cached[0] + cached[1]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_skipping_the_input_gradient_keeps_parameter_gradients(self):
+        mlp = init_mlp((4, 3, 3, 2), "tanh", "square", seed=14)
+        batch = np.random.default_rng(14).normal(size=(5, 4))
+        coeff = np.random.default_rng(15).normal(size=(5, 2))
+        full = backward(mlp, batch, coeff)
+        wg, bg, xg = backward(mlp, batch, coeff, input_grad=False)
+        assert xg is None and full[2].shape == (5, 4)
+        for a, b in zip(full[0] + full[1], wg + bg):
+            np.testing.assert_array_equal(a, b)
+        grads = parameter_grads(mlp, batch, coeff)
+        assert [g.shape for g in grads] == [p.shape for p in parameters(mlp)]
+        for a, b in zip(grads, [g for pair in zip(wg, bg) for g in pair]):
             np.testing.assert_array_equal(a, b)
 
     def test_upstream_shape_validation(self):

@@ -5,7 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from lsmnet import nn
+from test_forward import scalar_disk_farfield
+
+from lsmnet import forward, nn
 from lsmnet.forward import FarFieldMatrix, add_noise, disk_farfield
 from lsmnet.noisenet import (
     NoiseDataset,
@@ -130,6 +132,23 @@ class TestCorpus:
         scale = np.sqrt(12) + np.sqrt(16)
         np.testing.assert_allclose(ds.labels, np.log(ds.deltas / scale),
                                    rtol=1e-12)
+
+    def test_blocks_match_the_per_disk_oracle(self, monkeypatch):
+        """The corpus as drawn one disk at a time before batching."""
+        # Blocks of 4 disks: 25 leaves a partial last block.
+        monkeypatch.setattr(forward, "_BLOCK_ENTRIES", 4 * 12 * 16)
+        ds = gen_noise_dataset(K, 12, 16, seed=9, count=25,
+                               eta_range=(0.01, 0.2), radius_range=(0.3, 1.9))
+        rng = np.random.Generator(np.random.PCG64(9))
+        etas = np.exp(rng.uniform(np.log(0.01), np.log(0.2), size=25))
+        radii = rng.uniform(0.3, 1.9, size=25)
+        seeds = rng.integers(0, 2 ** 63, size=25)
+        for i in range(25):
+            clean = FarFieldMatrix(
+                scalar_disk_farfield((0.0, 0.0), radii[i], K, 12, 16), K)
+            noisy, realization = add_noise(clean, etas[i], int(seeds[i]))
+            np.testing.assert_array_equal(ds.features[i], spectrum_features(noisy))
+            assert ds.deltas[i] == realization.delta
 
     def test_seed_pins_the_corpus(self):
         a = gen_noise_dataset(K, 10, 10, seed=7, count=15)
