@@ -25,6 +25,9 @@ import numpy as np
 _WINDING_SAMPLES = 2048
 # Samples per boundary for scene validation (disjointness, containment).
 _VALIDATION_SAMPLES = 512
+# Boundary-sample/point pairs per block of the winding test: 256 kB per
+# float64 temporary, so a block's temporaries stay in L2.
+_WINDING_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -202,13 +205,21 @@ def _winding(boundary: np.ndarray, points: np.ndarray) -> np.ndarray:
     edge (cross = 0, dot <= 0) gets winding 1, where the angle sum alone
     would hinge on the signs of zeros.
     """
-    v = boundary[None, :, :] - points[:, None, :]  # (P, S, 2)
-    vn = np.roll(v, -1, axis=1)
-    cross = v[:, :, 0] * vn[:, :, 1] - v[:, :, 1] * vn[:, :, 0]
-    dot = v[:, :, 0] * vn[:, :, 0] + v[:, :, 1] * vn[:, :, 1]
-    winding = np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
-    on_polygon = np.any((cross == 0.0) & (dot <= 0.0), axis=1)
-    return np.where(on_polygon, 1.0, winding)
+    bx, by = np.ascontiguousarray(boundary.T)
+    nx, ny = np.roll(bx, -1), np.roll(by, -1)
+    winding = np.empty(points.shape[0])
+    # Blocks of whole point rows keep the passes in cache; a row's angle
+    # sum does not depend on the block height.
+    rows = max(1, _WINDING_BLOCK // bx.size)
+    for lo in range(0, points.shape[0], rows):
+        px, py = points[lo:lo + rows, 0, None], points[lo:lo + rows, 1, None]
+        vx, vy, vnx, vny = bx - px, by - py, nx - px, ny - py
+        cross = vx * vny - vy * vnx
+        dot = vx * vnx + vy * vny
+        on_polygon = np.any((cross == 0.0) & (dot <= 0.0), axis=1)
+        total = np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
+        winding[lo:lo + rows] = np.where(on_polygon, 1.0, total)
+    return winding
 
 
 def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMPLES) -> np.ndarray:
@@ -223,12 +234,9 @@ def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMP
         else:
             boundary = parametrize(ob).position(t)
             # The winding number is 0 outside the closed bounding box, so
-            # only points inside it need the test; chunks bound the (P, S)
-            # intermediate.
+            # only points inside it need the test.
             low, high = boundary.min(axis=0), boundary.max(axis=0)
             candidates = np.flatnonzero(np.all((low <= points) & (points <= high), axis=1))
-            for lo in range(0, candidates.size, 4096):
-                idx = candidates[lo:lo + 4096]
-                inside[idx] |= np.abs(_winding(boundary, points[idx])) > 0.5
+            inside[candidates] |= np.abs(_winding(boundary, points[candidates])) > 0.5
     return inside
 

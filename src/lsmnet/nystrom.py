@@ -84,8 +84,13 @@ def _self_block(bd: _BoundaryData, k: float, eta: float) -> np.ndarray:
     np.fill_diagonal(r, 1.0)
     w = np.einsum("ijc,jc->ij", diffs, bd.normal)
 
-    j0, y0 = _hankel_parts(0, k * r)
-    j1, y1 = _hankel_parts(1, k * r)
+    # r is bitwise symmetric (x_i - x_j and x_j - x_i differ only in
+    # sign), so the Bessel values are evaluated on one triangle.
+    upper = np.triu_indices(q)
+    z = k * r[upper]
+    j0, y0, j1, y1 = np.empty((4, q, q))
+    for full, part in zip((j0, y0, j1, y1), (*_hankel_parts(0, z), *_hankel_parts(1, z))):
+        full[upper] = full.T[upper] = part
     h0 = j0 + 1j * y0
     h1 = j1 + 1j * y1
 

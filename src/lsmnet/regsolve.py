@@ -407,10 +407,12 @@ def write_field_csv(path, grid: SamplingGrid, values: np.ndarray) -> None:
     """Raw field dump, one `x,y,value` row per grid point in grid order."""
     values = _grid_values(grid, values)
     axis = [f"{a:.17g}," for a in grid.axis.tolist()]
-    prefixes = [x + y for y in axis for x in axis]
-    rows = map("{}{:.17g}".format, prefixes, values.tolist())
+    # Prefixes and values interleaved for one C-level format call.
+    flat = [None] * (2 * values.size)
+    flat[::2] = [x + y for y in axis for x in axis]
+    flat[1::2] = values.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,value\n" + "\n".join(rows) + "\n")
+        fh.write("x,y,value\n" + ("%s%.17g\n" * values.size) % tuple(flat))
 
 
 def write_field_pgm(path, grid: SamplingGrid, values: np.ndarray) -> None:

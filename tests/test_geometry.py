@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lsmnet.geometry import (Disk, Ellipse, Kite, Scene, _winding,
-                             contains_mask, parametrize)
+from lsmnet.geometry import (_WINDING_BLOCK, Disk, Ellipse, Kite, Scene,
+                             _winding, contains_mask, parametrize)
 from lsmnet.regsolve import SamplingGrid
 
 
@@ -19,9 +19,22 @@ def _boundary_distance(scene, points, samples):
     return dmin
 
 
-def _unfiltered_mask(scene, points):
-    """Membership with the winding test run on every point, no prefilter."""
-    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+def _reference_winding(boundary, points):
+    """The winding test as one (P, S, 2) difference array and its rolled
+    copy, with no blocking: the oracle for `_winding`."""
+    v = boundary[None, :, :] - points[:, None, :]
+    vn = np.roll(v, -1, axis=1)
+    cross = v[:, :, 0] * vn[:, :, 1] - v[:, :, 1] * vn[:, :, 0]
+    dot = v[:, :, 0] * vn[:, :, 0] + v[:, :, 1] * vn[:, :, 1]
+    winding = np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
+    on_polygon = np.any((cross == 0.0) & (dot <= 0.0), axis=1)
+    return np.where(on_polygon, 1.0, winding)
+
+
+def _unfiltered_mask(scene, points, samples=2048):
+    """Membership with the reference winding test run on every point, no
+    prefilter."""
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     inside = np.zeros(points.shape[0], dtype=bool)
     for ob in scene.obstacles:
         if isinstance(ob, Disk):
@@ -31,7 +44,7 @@ def _unfiltered_mask(scene, points):
         boundary = parametrize(ob).position(t)
         # Blocks of 1000 rows only bound memory; each row is independent.
         for lo in range(0, points.shape[0], 1000):
-            winding = _winding(boundary, points[lo:lo + 1000])
+            winding = _reference_winding(boundary, points[lo:lo + 1000])
             inside[lo:lo + 1000] |= np.abs(winding) > 0.5
     return inside
 
@@ -211,19 +224,50 @@ def test_boundary_samples_are_inside(obstacle):
     assert contains_mask(scene, boundary).all()
 
 
-def test_mask_with_several_candidate_chunks():
-    """More than 4096 points in one box, the last chunk partial: the points
-    of every chunk are tested, the last one included."""
-    points = SamplingGrid.make(4.0, 200).points
+@pytest.mark.parametrize("resolution", [100, 200])
+@pytest.mark.parametrize("obstacle", [_KITE, _ELLIPSE, _LARGE_ELLIPSE],
+                         ids=["kite", "ellipse", "large-ellipse"])
+def test_winding_bitwise_equal_to_reference(obstacle, resolution):
+    """The blocked winding numbers are the reference's to the bit, signed
+    zeros included, on the box's grid points, its edges and the samples."""
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    boundary = parametrize(obstacle).position(t)
+    points = SamplingGrid.make(4.0, resolution).points
+    points = np.vstack([
+        points[np.all((boundary.min(axis=0) <= points)
+                      & (points <= boundary.max(axis=0)), axis=1)],
+        _bounding_box_points(Scene(obstacles=(obstacle,))), boundary[::7]])
+    got = _winding(boundary, points)
+    assert got.tobytes() == _reference_winding(boundary, points).tobytes()
+
+
+@pytest.mark.parametrize("samples", [2048, 3000, _WINDING_BLOCK + 1])
+def test_mask_with_several_winding_blocks(samples):
+    """More candidates than one block of whole point rows holds, the last
+    block partial and holding inside points: every block is tested, the
+    last one included, bitwise as the reference.  Block heights 16, 10
+    and 1 (more samples than a block holds)."""
+    rows = max(1, _WINDING_BLOCK // samples)
     boundary = parametrize(_LARGE_ELLIPSE).position(
-        np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False))
+        np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    points = SamplingGrid.make(4.0, 200 if rows > 1 else 40).points
     points = points[np.all((boundary.min(axis=0) <= points)
                            & (points <= boundary.max(axis=0)), axis=1)]
-    assert points.shape[0] > 4096 and points.shape[0] % 4096 != 0
+    # Shuffled, so that the partial last block is not the box's top row,
+    # and three short of the box's points (5,760 at 200^2, a multiple of
+    # both 16 and 10).
+    points = np.random.default_rng(samples).permutation(points)[:-3]
+    assert points.shape[0] > rows
     scene = Scene(obstacles=(_LARGE_ELLIPSE,))
-    expected = _unfiltered_mask(scene, points)
-    assert expected[4096 * (points.shape[0] // 4096):].any()
-    np.testing.assert_array_equal(contains_mask(scene, points), expected)
+    expected = _unfiltered_mask(scene, points, samples)
+    assert expected.any() and not expected.all()
+    if rows > 1:
+        assert points.shape[0] % rows != 0
+        assert expected[rows * (points.shape[0] // rows):].any()
+    np.testing.assert_array_equal(contains_mask(scene, points, samples),
+                                  expected)
+    assert (_winding(boundary, points).tobytes()
+            == _reference_winding(boundary, points).tobytes())
 
 
 def test_scene_rejects_bad_shapes():

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from lsmnet import nystrom
 from lsmnet.forward import disk_farfield, spectral_norm
-from lsmnet.geometry import Disk, Ellipse, Kite, Scene
-from lsmnet.nystrom import ConvergenceError, kress_weights, nystrom_farfield
+from lsmnet.geometry import Disk, Ellipse, Kite, Scene, parametrize
+from lsmnet.nystrom import (EULER_GAMMA, ConvergenceError, _BoundaryData,
+                            _self_block, kress_weights, nystrom_farfield)
+from lsmnet.specialfn import bessel_j, bessel_y
 
 K = 2.0 * np.pi
 
@@ -16,6 +19,38 @@ LOG_KERNEL_INTEGRAL = -8.0571167158743689
 
 def _kite(center=(0.0, 0.0), scale=1.0):
     return Scene((Kite(center, scale),))
+
+
+def _reference_self_block(bd, k, eta):
+    """The self block with J0, Y0, J1 and Y1 evaluated on the whole q x q
+    distance matrix: the oracle for the one-triangle `_self_block`."""
+    q = bd.t.size
+    n = q // 2
+    diffs = bd.x[:, None, :] - bd.x[None, :, :]
+    r = np.linalg.norm(diffs, axis=2)
+    np.fill_diagonal(r, 1.0)
+    w = np.einsum("ijc,jc->ij", diffs, bd.normal)
+    j0, y0 = bessel_j(0, k * r), bessel_y(0, k * r)
+    j1, y1 = bessel_j(1, k * r), bessel_y(1, k * r)
+    single = 0.5j * (j0 + 1j * y0) * bd.speed[None, :]
+    single1 = -(1.0 / (2.0 * np.pi)) * j0 * bd.speed[None, :]
+    double = 0.5j * k * (j1 + 1j * y1) * w / r
+    double1 = -(k / (2.0 * np.pi)) * j1 * w / r
+    log_factor = np.log(4.0 * np.sin((bd.t[:, None] - bd.t[None, :]) / 2.0) ** 2
+                        + np.eye(q))
+    single2 = single - single1 * log_factor
+    double2 = double - double1 * log_factor
+    d = np.arange(q)
+    single1[d, d] = -(1.0 / (2.0 * np.pi)) * bd.speed
+    single2[d, d] = (0.5j - EULER_GAMMA / np.pi
+                     - np.log(k * bd.speed / 2.0) / np.pi) * bd.speed
+    double1[d, d] = 0.0
+    double2[d, d] = (bd.ddx[:, 0] * bd.dx[:, 1]
+                     - bd.ddx[:, 1] * bd.dx[:, 0]) / (2.0 * np.pi * bd.speed ** 2)
+    weight_matrix = kress_weights(n)[np.abs(d[:, None] - d[None, :])]
+    trapezoid = np.pi / n
+    return (weight_matrix * double1 + trapezoid * double2
+            - 1j * eta * (weight_matrix * single1 + trapezoid * single2))
 
 
 class TestKressWeights:
@@ -56,6 +91,35 @@ class TestKressWeights:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             kress_weights(0)
+
+
+class TestOneTriangleSelfBlock:
+    """The Bessel values mirrored from one triangle of the symmetric
+    distance matrix give the full-matrix self block to the bit."""
+
+    @pytest.mark.parametrize("q", [32, 128, 256])
+    @pytest.mark.parametrize("obstacle", [
+        Kite((0.3, -0.2), 0.8),
+        Ellipse((-0.4, 0.5), 1.3, 0.6, rotation=0.5),
+        Disk((0.9, -1.1), 0.7),
+    ], ids=["kite", "ellipse", "disk"])
+    def test_self_block_matches_full_matrix(self, obstacle, q):
+        bd = _BoundaryData(parametrize(obstacle), q)
+        got = _self_block(bd, K, K)
+        want = _reference_self_block(bd, K, K)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scene", [
+        _kite((0.3, -0.2), 0.8),
+        Scene((Kite((-1.5, 0.5), 0.6), Ellipse((1.5, -0.5), 0.8, 0.5, 0.3))),
+    ], ids=["one", "two"])
+    def test_farfield_matches_full_matrix(self, scene, monkeypatch):
+        got = nystrom_farfield(scene, K, 24, 20).entries
+        monkeypatch.setattr(nystrom, "_self_block", _reference_self_block)
+        want = nystrom_farfield(scene, K, 24, 20).entries
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDiskAgainstSeries:

@@ -528,6 +528,28 @@ class TestWriters:
         assert path.read_bytes() == ("x,y,value\n" + "\n".join(rows)
                                      + "\n").encode("ascii")
 
+    @pytest.mark.parametrize("values", [
+        np.array([1.0, -1.0, 0.0, -0.0, 2.0, 3.0, 1e16, 2.0 ** 53 + 2.0,
+                  1e-300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3.0,
+                  1e300, -1.7976931348623157e308, 0.5, 2.5, 0.125, 1.5e-5,
+                  0.1 + 0.2, 1.0000000000000005, 1e22, 1e21, 123456.5,
+                  -0.015, 9.999999999999995, 7.0 / 3.0, 1e-7, 5e-5,
+                  3.0000000000000004, 4.35, 1e-323, 0.3]),
+        np.full(32, 0.25),
+    ], ids=["awkward", "constant"])
+    def test_csv_bytes_match_format_map(self, tmp_path, values):
+        """Byte-for-byte equal to formatting rows with `"{}{:.17g}".format`
+        mapped over prefixes and values and joined with newlines."""
+        grid = SamplingGrid.make(2.5, 6)
+        values = np.resize(values, 36)
+        axis = [f"{a:.17g}," for a in grid.axis.tolist()]
+        prefixes = [x + y for y in axis for x in axis]
+        rows = map("{}{:.17g}".format, prefixes, values.tolist())
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, values)
+        assert path.read_bytes() == ("x,y,value\n" + "\n".join(rows)
+                                     + "\n").encode("ascii")
+
     @pytest.mark.parametrize("writer", [write_field_csv, write_field_pgm])
     @pytest.mark.parametrize("size", [15, 17])
     def test_wrong_length_field_rejected(self, tmp_path, writer, size):
