@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,24 +51,45 @@ class RbfTrunk:
 
     The shape parameter is tied to the grid: epsilon = -ln(s)/h^2, so a
     basis function evaluated at the neighboring center equals s.  Centers
-    cover [-lam*L, lam*L]^2 row-major with x varying fastest.
+    cover [-lam*L, lam*L]^2 row-major with x varying fastest.  Only the
+    four scalars are stored; the centers are built on first use.
     """
 
     lam: float
     L: float
     h: float
     s: float
-    epsilon: float
-    n_h: int
-    p_h: int
-    centers: np.ndarray
+
+    @property
+    def n_h(self) -> int:
+        return int(math.floor(2.0 * (self.lam * self.L) / self.h)) + 1
+
+    @property
+    def p_h(self) -> int:
+        return self.n_h * self.n_h
+
+    @property
+    def epsilon(self) -> float:
+        return -math.log(self.s) / self.h ** 2
+
+    @property
+    def axis(self) -> np.ndarray:
+        halfwidth = self.lam * self.L
+        return np.linspace(-halfwidth, halfwidth, self.n_h)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return tensor_points(self.axis)
 
 
 def make_trunk(lam: float, L: float, h: float, s: float,
                allow_low_s: bool = False) -> RbfTrunk:
     """Build the basis grid for a domain halfwidth lam*L and spacing h."""
-    if lam <= 0.0 or L <= 0.0 or h <= 0.0:
-        raise ValueError("wavelength, domain factor, and spacing must be positive")
+    for name, value in (("wavelength lam", lam), ("domain factor L", L), ("spacing h", h)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not math.isfinite(2.0 * lam * L / h):
+        raise ValueError(f"trunk lam={lam!r}, L={L!r}, h={h!r} has no finite grid")
     if not 0.0 < s < 1.0:
         raise ValueError(f"neighbor value s must lie in (0, 1), got {s}")
     if s < S_MIN:
@@ -77,12 +99,7 @@ def make_trunk(lam: float, L: float, h: float, s: float,
                 f"pass allow_low_s=True to override")
         logger.warning("basis neighbor value s = %.4g below recommended floor %.4g",
                        s, S_MIN)
-    halfwidth = lam * L
-    n_h = int(math.floor(2.0 * halfwidth / h)) + 1
-    centers = tensor_points(np.linspace(-halfwidth, halfwidth, n_h))
-    epsilon = -math.log(s) / h ** 2
-    return RbfTrunk(float(lam), float(L), float(h), float(s), epsilon,
-                    n_h, n_h * n_h, centers)
+    return RbfTrunk(float(lam), float(L), float(h), float(s))
 
 
 def trunk_eval(trunk: RbfTrunk, points) -> np.ndarray:
@@ -284,8 +301,7 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
     native = fourier_resample(farfield, model.m0, model.n0)
     coefficients = nn.forward(model.branch, branch_features(native))
     trunk = model.trunk
-    centers = trunk.centers[:trunk.n_h, 0]
-    factor = np.exp(-trunk.epsilon * (grid.axis[:, None] - centers[None, :]) ** 2)
+    factor = np.exp(-trunk.epsilon * (grid.axis[:, None] - trunk.axis[None, :]) ** 2)
     values = factor @ coefficients.reshape(trunk.n_h, trunk.n_h) @ factor.T
     return IndicatorField(grid, values.ravel())
 
@@ -310,20 +326,16 @@ def save_deeponet(path, model: RbfDeepOnet) -> None:
 def load_deeponet(path) -> RbfDeepOnet:
     """Inverse of save_deeponet.
 
-    The branch fixes the trunk size, so the header's geometry is checked
-    against it before make_trunk allocates the centers it implies.
+    The trunk holds only its scalars, so it is built from the header and
+    checked against the branch before any center exists.
     """
     with archive.read(path, MAGIC_MODEL) as reader:
         lam, L, h, s, epsilon, m0, n0 = reader.header("5d2I")
         branch = nn.read_mlp(reader)
-        p_h = branch.sizes[-1]
-        n_h = math.isqrt(p_h)
-        # make_trunk's n_h = floor(2 lam L / h) + 1, written so that NaN fails.
-        if not (n_h * n_h == p_h and h > 0.0
-                and n_h - 1 <= 2.0 * lam * L / h < n_h):
-            raise ValueError(f"trunk geometry lam={lam!r}, L={L!r}, h={h!r} "
-                             f"does not give the branch's {p_h} outputs")
         trunk = make_trunk(lam, L, h, s, allow_low_s=True)
+        if trunk.p_h != branch.sizes[-1]:
+            raise ValueError(f"trunk geometry lam={lam!r}, L={L!r}, h={h!r} does "
+                             f"not give the branch's {branch.sizes[-1]} outputs")
         if not abs(trunk.epsilon - epsilon) <= 1e-12 * max(epsilon, 1.0):
             raise ValueError("archived shape parameter disagrees with trunk geometry")
         return RbfDeepOnet(trunk, branch, m0, n0)

@@ -107,8 +107,7 @@ def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return table
 
 
-def disk_farfields(centers, radii, k: float, m: int, n: int,
-                   truncation: int | None = None) -> np.ndarray:
+def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
     """Far-field entries of many sound-soft disks, (count, m, n).
 
     The scattered field of a disk of radius R centered at c is known in
@@ -121,12 +120,12 @@ def disk_farfields(centers, radii, k: float, m: int, n: int,
     where H_p is the first-kind Hankel function.  The series is symmetric
     in p, so it collapses to a cosine sum over p >= 0, and the translation
     factor exp(i*k*(d - x).c) moves the centered solution to center c.
-    Each disk is summed to its own N = ceil(kR) + 20 unless a truncation
-    is given.  Disks go in blocks of about _BLOCK_ENTRIES entries: a block
-    shares one ratio table, whose entries past a disk's N are exact zeros,
-    and one cosine table per order, and each disk's sum runs over p in the
-    same order as for a single disk, so every entry is independent of the
-    batch it came in.
+    Each disk is summed to its own N = ceil(kR) + 20, well past the eight
+    orders beyond kR that full double accuracy needs.  Disks go in blocks
+    of about _BLOCK_ENTRIES entries: a block shares one ratio table, whose
+    entries past a disk's N are exact zeros, and one cosine table per
+    order, and each disk's sum runs over p in the same order as for a
+    single disk, so every entry is independent of the batch it came in.
     """
     try:
         centers = np.asarray(centers, dtype=float)
@@ -147,18 +146,7 @@ def disk_farfields(centers, radii, k: float, m: int, n: int,
     if not np.isfinite(k) or k <= 0.0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     kr = k * radii
-    if truncation is None:
-        orders = np.ceil(kr).astype(int) + 20
-    else:
-        orders = np.full(kr.shape, int(truncation))
-    # The tail of the series decays super-exponentially once p > kR; eight
-    # extra orders is the minimum margin for full double accuracy.
-    short = np.flatnonzero(kr > orders - 8)
-    if short.size:
-        i = short[0]
-        raise ValueError(
-            f"disk {i}: truncation {orders[i]} too small for k*R = {kr[i]:.3g}; "
-            f"need at least ceil(k*R) + 8")
+    orders = np.ceil(kr).astype(int) + 20
 
     theta = observation_angles(m)
     phi = incidence_angles(n)
@@ -189,18 +177,9 @@ def disk_farfields(centers, radii, k: float, m: int, n: int,
     return out
 
 
-def disk_farfield(center, radius: float, k: float, m: int, n: int,
-                  truncation: int | None = None) -> FarFieldMatrix:
+def disk_farfield(center, radius: float, k: float, m: int, n: int) -> FarFieldMatrix:
     """Far-field matrix of one sound-soft disk; see disk_farfields."""
-    center = np.asarray(center, dtype=float)
-    if center.shape != (2,):
-        raise ValueError("center must be a 2-vector")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if k <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    return FarFieldMatrix(disk_farfields(center[None, :], [radius], k, m, n,
-                                         truncation)[0], k)
+    return FarFieldMatrix(disk_farfields([center], [radius], k, m, n)[0], k)
 
 
 def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray:

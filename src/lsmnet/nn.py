@@ -199,14 +199,15 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     return schedule.lr_end + 0.5 * span * (1.0 + np.cos(np.pi * step / schedule.total_steps))
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's values).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state; moment arrays mirror the parameter shapes."""
 
     base_lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     decoupled: bool = True
     step: int = 0
@@ -214,18 +215,14 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def make_adam(params: list, base_lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0, decoupled: bool = True) -> AdamState:
+def make_adam(params: list, base_lr: float, weight_decay: float = 0.0,
+              decoupled: bool = True) -> AdamState:
     if base_lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {base_lr}")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("moment coefficients must lie in [0, 1)")
-    if eps <= 0.0 or weight_decay < 0.0:
-        raise ValueError("eps must be positive and weight decay nonnegative")
-    state = AdamState(base_lr=float(base_lr), beta1=float(beta1),
-                      beta2=float(beta2), eps=float(eps),
-                      weight_decay=float(weight_decay), decoupled=bool(decoupled))
+    if weight_decay < 0.0:
+        raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
+    state = AdamState(base_lr=float(base_lr), weight_decay=float(weight_decay),
+                      decoupled=bool(decoupled))
     state.m = [np.zeros_like(p) for p in params]
     state.v = [np.zeros_like(p) for p in params]
     return state
@@ -246,8 +243,8 @@ def adam_step(state: AdamState, params: list, grads: list,
             raise ValueError("non-finite gradient passed to optimizer")
     lr = state.base_lr if lr is None else float(lr)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not state.decoupled and state.weight_decay > 0.0:
             g = g + state.weight_decay * p
@@ -257,13 +254,13 @@ def adam_step(state: AdamState, params: list, grads: list,
         for lo in range(0, len(p), rows):
             pb, gb, mb, vb = (a[lo:lo + rows] for a in (p, g, m, v))
             work = scratch[:len(pb)]
-            mb *= state.beta1
-            mb += np.multiply(1.0 - state.beta1, gb, out=work)
-            vb *= state.beta2
-            vb += np.multiply(1.0 - state.beta2, np.square(gb, out=work), out=work)
+            mb *= BETA1
+            mb += np.multiply(1.0 - BETA1, gb, out=work)
+            vb *= BETA2
+            vb += np.multiply(1.0 - BETA2, np.square(gb, out=work), out=work)
             np.sqrt(vb, out=work)
             work *= 1.0 / np.sqrt(bc2)
-            work += state.eps
+            work += EPS
             np.divide(mb, work, out=work)
             if state.decoupled and state.weight_decay > 0.0:
                 pb *= 1.0 - lr * state.weight_decay

@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import FarFieldMatrix, incidence_angles, observation_angles, spectral_norm
+from .forward import FarFieldMatrix, incidence_angles, observation_angles
 from .geometry import Scene, parametrize
 from .specialfn import bessel_j, bessel_y
 
 EULER_GAMMA = 0.5772156649015328606
 
 _MIN_QUADRATURE = 32
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the requested self-convergence check fails."""
 
 
 def kress_weights(n: int) -> np.ndarray:
@@ -170,30 +166,13 @@ def _solve_farfield(scene: Scene, k: float, m: int, n: int, q: int) -> FarFieldM
 
 
 def nystrom_farfield(scene: Scene, k: float, m: int, n: int,
-                     quadrature_points: int = 128,
-                     self_check: bool = False,
-                     self_check_tol: float = 1e-8) -> FarFieldMatrix:
-    """Far-field matrix of a scene of sound-soft obstacles.
-
-    quadrature_points is the per-boundary point count and must be even.
-    With self_check the solve is repeated at twice the resolution and a
-    relative spectral-norm gap above self_check_tol raises
-    ConvergenceError; the coarse solution is returned either way so the
-    flag never changes the output, only validates it.
-    """
+                     quadrature_points: int = 128) -> FarFieldMatrix:
+    """Far-field matrix of a scene of sound-soft obstacles, solved with an
+    even number quadrature_points of quadrature points per boundary."""
     if k <= 0.0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     if quadrature_points < _MIN_QUADRATURE or quadrature_points % 2:
         raise ValueError(
             f"quadrature_points must be even and >= {_MIN_QUADRATURE}, "
             f"got {quadrature_points}")
-    result = _solve_farfield(scene, k, m, n, quadrature_points)
-    if self_check:
-        refined = _solve_farfield(scene, k, m, n, 2 * quadrature_points)
-        scale = spectral_norm(refined.entries)
-        gap = spectral_norm(result.entries - refined.entries)
-        if gap > self_check_tol * scale:
-            raise ConvergenceError(
-                f"far field not converged at q={quadrature_points}: "
-                f"relative gap {gap / scale:.3e} exceeds {self_check_tol:.1e}")
-    return result
+    return _solve_farfield(scene, k, m, n, quadrature_points)

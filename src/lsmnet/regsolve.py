@@ -65,8 +65,8 @@ class SamplingGrid:
     resolution: int
 
     def __post_init__(self):
-        if not self.halfwidth > 0.0:
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
+        if not (np.isfinite(self.halfwidth) and self.halfwidth > 0.0):
+            raise ValueError(f"halfwidth must be finite and positive, got {self.halfwidth}")
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
@@ -81,10 +81,6 @@ class SamplingGrid:
     @cached_property
     def points(self) -> np.ndarray:
         return tensor_points(self.axis)
-
-    def compatible(self, other: "SamplingGrid") -> bool:
-        return (self.resolution == other.resolution
-                and abs(self.halfwidth - other.halfwidth) < 1e-12)
 
 
 @dataclass(frozen=True)
@@ -346,7 +342,7 @@ def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
         raise ValueError("decomposition does not match the far-field shape")
     if svdt.s[0] <= 0.0:
         raise ValueError("far-field matrix is identically zero")
-    if isinstance(strategy, Field) and not strategy.field.grid.compatible(grid):
+    if isinstance(strategy, Field) and strategy.field.grid != grid:
         raise ValueError("regularization field lives on a different grid")
 
     total = grid.resolution ** 2

@@ -62,15 +62,13 @@ FORMATS = {
 
 @pytest.fixture
 def guarded_trunk(monkeypatch):
-    """make_trunk that refuses a spacing no test archive holds, so a
-    loader that skipped its check fails here instead of allocating."""
-    real = deeponet.make_trunk
+    """Fail if any trunk centers are built: the loaders read and check
+    headers and blobs only, so a corrupt archive raises before a size it
+    claims is allocated."""
+    def refuse(axis):
+        pytest.fail(f"trunk centers built for a {len(axis)}-point axis")
 
-    def guarded(lam, L, h, s, allow_low_s=False):
-        assert 2.0 * lam * L / h < 100.0, "make_trunk got an unchecked spacing"
-        return real(lam, L, h, s, allow_low_s)
-
-    monkeypatch.setattr(deeponet, "make_trunk", guarded)
+    monkeypatch.setattr(deeponet, "tensor_points", refuse)
 
 
 def _outcome(load, path, size):
@@ -156,10 +154,10 @@ def test_trunk_is_checked_against_the_branch_before_it_is_built(
     struct.pack_into("<d", blob, 4 + 2 * 8, 1e-3)    # h: 2001^2 centers
     path.write_bytes(blob)
 
-    def refuse(*args, **kwargs):
-        pytest.fail("make_trunk ran before the header was checked")
+    def refuse(axis):
+        pytest.fail("trunk centers built before the header was checked")
 
-    monkeypatch.setattr(deeponet, "make_trunk", refuse)
+    monkeypatch.setattr(deeponet, "tensor_points", refuse)
     with pytest.raises(ValueError, match="does not give the branch's 9 outputs") as err:
         deeponet.load_deeponet(path)
     assert "model.bin" in str(err.value)

@@ -124,6 +124,15 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="obstacle.0.colour"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_gen_refuses_non_finite_trunk_spacing(self, value, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"trunk_h = {value}\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="spacing h must be finite"):
+            main(["gen", "--config", str(path), "--out", str(out)])
+        assert not (out / "deeponet_dataset.bin").exists()
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# a comment\n\nseed = 3\n")

@@ -1,13 +1,15 @@
 """Radial-basis operator network: trunk, corpus, training, evaluation."""
 
 import logging
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from test_forward import scalar_disk_farfield
 
-from lsmnet import deeponet, forward, nn
+from lsmnet import cli, deeponet, forward, nn
 from lsmnet.deeponet import (
     S_MIN,
     RbfDeepOnet,
@@ -61,6 +63,28 @@ def per_disk_training_set(trunk, k, m0, n0, seed, radius_range, noise_eta_range=
     return positions, radii, matrices, labels
 
 
+def eager_trunk(lam, L, h, s):
+    """Oracle: every derived trunk field, computed at once as the trunk
+    used to be built, with the axis sliced back out of the centers."""
+    halfwidth = lam * L
+    n_h = int(math.floor(2.0 * halfwidth / h)) + 1
+    centers = tensor_points(np.linspace(-halfwidth, halfwidth, n_h))
+    return {"n_h": n_h, "p_h": n_h * n_h, "epsilon": -math.log(s) / h ** 2,
+            "axis": centers[:n_h, 0], "centers": centers}
+
+
+# (lam, L, h, s): the shipped trunk, the NTK trunk across its overlap
+# sweep, and spacings where 2 lam L / h rounds just below (0.3 / 0.1),
+# just above (0.9 / 0.03) or onto (1.1 / 0.1) an integer.
+DERIVED_CASES = [
+    (cli.RunConfig.lam, cli.RunConfig.L, cli.RunConfig.trunk_h, cli.RunConfig.trunk_s),
+    *[(cli._NTK_LAM, cli._NTK_HALFWIDTH, cli._NTK_H, s) for s in cli.DEFAULT_NTK_SWEEP],
+    (1.0, 0.3, 0.1, 0.3),
+    (1.0, 0.9, 0.03, 0.5),
+    (1.0, 1.1, 0.1, 0.5),
+]
+
+
 def _tiny_trunk():
     # 3x3 centers: the smallest grid with an interior point
     return make_trunk(1.0, 1.0, 1.0, 0.3)
@@ -111,6 +135,35 @@ class TestTrunk:
             make_trunk(0.0, 1.0, 1.0, 0.3)
         with pytest.raises(ValueError):
             make_trunk(1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="no finite grid"):
+            make_trunk(1e200, 1e200, 1.0, 0.3)
+        for index, name in enumerate(("lam", "L", "h")):
+            for value in (np.inf, np.nan):
+                args = [1.0, 4.0, 0.5, 0.15]
+                args[index] = value
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    make_trunk(*args)
+
+    @pytest.mark.parametrize("lam, L, h, s", DERIVED_CASES)
+    def test_derived_fields_are_bitwise_the_eager_ones(self, lam, L, h, s):
+        ratio = 2.0 * lam * L / h
+        trunk = make_trunk(lam, L, h, s, allow_low_s=True)
+        assert (trunk.lam, trunk.L, trunk.h, trunk.s) == (lam, L, h, s)
+        want = eager_trunk(lam, L, h, s)
+        assert type(trunk.n_h) is int and type(trunk.p_h) is int
+        assert (trunk.n_h, trunk.p_h) == (want["n_h"], want["p_h"])
+        assert trunk.n_h == math.floor(ratio) + 1
+        assert struct.pack("<d", trunk.epsilon) == struct.pack("<d", want["epsilon"])
+        for name in ("axis", "centers"):
+            got = getattr(trunk, name)
+            assert got.shape == want[name].shape and got.dtype == want[name].dtype
+            assert got.tobytes() == want[name].tobytes(), name
+        assert trunk.centers is trunk.centers        # built once, on demand
+
+    def test_near_integer_spacings_are_covered(self):
+        ratios = [2.0 * lam * L / h for lam, L, h, _ in DERIVED_CASES[-3:]]
+        assert all(abs(r - round(r)) < 1e-12 for r in ratios)
+        assert [math.floor(r) + 1 for r in ratios] == [6, 61, 23]
 
 
 class TestModel:
@@ -382,11 +435,28 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_deeponet(path, model)
         back = load_deeponet(path)
-        assert back.trunk.n_h == trunk.n_h
+        assert back.trunk == trunk
         assert back.trunk.epsilon == trunk.epsilon
         assert (back.m0, back.n0) == (6, 6)
         for a, b in zip(nn.parameters(model.branch), nn.parameters(back.branch)):
             np.testing.assert_array_equal(a, b)
+
+    def test_load_and_evaluate_never_build_centers(self, tmp_path, monkeypatch):
+        model = make_deeponet(make_trunk(1.0, 1.0, 0.5, 0.15), 8, 8, seed=4)
+        path = tmp_path / "model.bin"
+        save_deeponet(path, model)
+        field = disk_farfield((0.2, -0.1), 0.5, K, 8, 8)
+        grid = SamplingGrid.make(1.0, 7)
+        want = indicator_eval(model, field, grid).values
+
+        def refuse(axis):
+            pytest.fail("trunk centers built")
+
+        monkeypatch.setattr(deeponet, "tensor_points", refuse)
+        back = load_deeponet(path)
+        got = indicator_eval(back, field, grid).values
+        assert "centers" not in vars(back.trunk)
+        assert got.tobytes() == want.tobytes()
 
     def test_model_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -10,20 +10,19 @@ from lsmnet.forward import (FarFieldMatrix, add_noise, disk_farfield,
                             disk_farfields, fold_to_shape, fourier_resample, incidence_angles,
                             observation_angles, operator_eigenvalues_disk,
                             spectral_norm)
-from lsmnet.specialfn import bessel_j, hankel1
+from lsmnet.specialfn import ORDER_CAP, bessel_j, hankel1
 
 K = 2.0 * np.pi
 
 
-def scalar_disk_farfield(center, radius, k, m, n, truncation=None):
+def scalar_disk_farfield(center, radius, k, m, n):
     """Oracle: the one-disk separated series, one scalar ratio per order.
 
     This is the series as it was summed before disks were batched; every
     batched entry must equal it bit for bit.
     """
     center = np.asarray(center, dtype=float)
-    if truncation is None:
-        truncation = int(np.ceil(k * radius)) + 20
+    truncation = int(np.ceil(k * radius)) + 20
     theta = observation_angles(m)
     phi = incidence_angles(n)
     kr = k * radius
@@ -107,9 +106,10 @@ def test_circulant_eigenvalues_match_closed_form():
 
 
 def test_truncation_guard():
-    with pytest.raises(ValueError):
-        disk_farfield((0.0, 0.0), 1.0, K, 8, 8, truncation=10)
-    disk_farfield((0.0, 0.0), 1.0, K, 8, 8, truncation=16)
+    """The series runs to N = ceil(kR) + 20, which the order cap bounds."""
+    disk_farfield((0.0, 0.0), (ORDER_CAP - 20.5) / K, K, 8, 8)
+    with pytest.raises(ValueError, match=f"exceeds cap {ORDER_CAP}"):
+        disk_farfield((0.0, 0.0), (ORDER_CAP - 19.5) / K, K, 8, 8)
 
 
 def _disks(count, seed, r_lo=0.05, r_hi=3.0):
@@ -117,10 +117,10 @@ def _disks(count, seed, r_lo=0.05, r_hi=3.0):
     return rng.uniform(-3.0, 3.0, size=(count, 2)), rng.uniform(r_lo, r_hi, size=count)
 
 
-def _assert_matches_oracle(entries, centers, radii, k, m, n, truncation=None):
+def _assert_matches_oracle(entries, centers, radii, k, m, n):
     assert entries.shape == (len(radii), m, n)
     for i, (center, radius) in enumerate(zip(centers, radii)):
-        want = scalar_disk_farfield(center, radius, k, m, n, truncation)
+        want = scalar_disk_farfield(center, radius, k, m, n)
         np.testing.assert_array_equal(entries[i], want, err_msg=f"disk {i}")
 
 
@@ -136,11 +136,6 @@ class TestBatchedDisks:
         centers, radii = _disks(9, 1)
         entries = disk_farfields(centers, radii, 1.7 * K, 10, 17)
         _assert_matches_oracle(entries, centers, radii, 1.7 * K, 10, 17)
-
-    def test_explicit_truncation_is_bitwise(self):
-        centers, radii = _disks(7, 2, r_hi=1.0)
-        entries = disk_farfields(centers, radii, K, 8, 6, truncation=16)
-        _assert_matches_oracle(entries, centers, radii, K, 8, 6, truncation=16)
 
     def test_partial_last_block_is_bitwise(self, monkeypatch):
         # Three disks per block: blocks of 3, 3, 3 and a last one of 1.
@@ -202,9 +197,16 @@ class TestBatchedDisks:
         with pytest.raises(ValueError, match="centers"):
             disk_farfields(centers, radii, K, 8, 8)
 
-    def test_truncation_guard_names_the_disk(self):
-        with pytest.raises(ValueError, match=r"disk 1: truncation 10 too small"):
-            disk_farfields(np.zeros((2, 2)), [0.1, 1.0], K, 8, 8, truncation=10)
+    @pytest.mark.parametrize("center, radius, k, match", [
+        ((0.0, 0.0, 0.0), 1.0, K, r"centers \(1, 3\)"),
+        (0.5, 1.0, K, r"centers \(1,\)"),
+        ((0.0, 0.0), 0.0, K, "disk 0: "),
+        ((0.0, 0.0), np.nan, K, "disk 0: "),
+        ((0.0, 0.0), 1.0, 0.0, "wavenumber must be positive"),
+    ])
+    def test_one_disk_call_refuses_what_the_batch_refuses(self, center, radius, k, match):
+        with pytest.raises(ValueError, match=match):
+            disk_farfield(center, radius, k, 8, 8)
 
 
 def test_eigenvalue_decay_and_tail():

@@ -6,7 +6,7 @@ import pytest
 from lsmnet import nystrom
 from lsmnet.forward import disk_farfield, spectral_norm
 from lsmnet.geometry import Disk, Ellipse, Kite, Scene, parametrize
-from lsmnet.nystrom import (EULER_GAMMA, ConvergenceError, _BoundaryData,
+from lsmnet.nystrom import (EULER_GAMMA, _BoundaryData,
                             _self_block, kress_weights, nystrom_farfield)
 from lsmnet.specialfn import bessel_j, bessel_y
 
@@ -190,26 +190,23 @@ class TestPhysics:
         assert np.max(np.abs(s0 - s1)) < 1e-10 * s0[0]
 
 
+def _refinement_gap(k, q):
+    """Relative spectral-norm change of the kite's far field from q to 2q."""
+    coarse = nystrom_farfield(_kite(), k, 8, 8, quadrature_points=q)
+    fine = nystrom_farfield(_kite(), k, 8, 8, quadrature_points=2 * q)
+    return spectral_norm(coarse.entries - fine.entries) / spectral_norm(fine.entries)
+
+
 class TestSelfCheck:
+    """Self-convergence: doubling the quadrature moves a resolved far
+    field by at most 1e-8 relative, and an unresolved one by more."""
+
     def test_passes_when_resolved(self):
-        field = nystrom_farfield(_kite(), K, 8, 8, quadrature_points=96,
-                                 self_check=True)
-        assert np.all(np.isfinite(field.entries))
+        assert _refinement_gap(K, 96) <= 1e-8
 
-    def test_flag_does_not_change_output(self):
-        plain = nystrom_farfield(_kite(), K, 8, 8, quadrature_points=96)
-        checked = nystrom_farfield(_kite(), K, 8, 8, quadrature_points=96,
-                                   self_check=True)
-        np.testing.assert_array_equal(plain.entries, checked.entries)
-
-    def test_raises_when_underresolved(self):
+    def test_gap_exceeds_bound_when_underresolved(self):
         # 32 points cannot resolve the kite at twice the wavenumber.
-        with pytest.raises(ConvergenceError):
-            nystrom_farfield(_kite(), 2 * K, 8, 8, quadrature_points=32,
-                             self_check=True)
-
-    def test_convergence_error_is_runtime_error(self):
-        assert issubclass(ConvergenceError, RuntimeError)
+        assert _refinement_gap(2 * K, 32) > 1e-8
 
 
 class TestValidation:

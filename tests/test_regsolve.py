@@ -64,12 +64,6 @@ class TestSamplingGrid:
         grid = SamplingGrid.make(1.5, 7)
         assert grid.axis[0] == -1.5 and grid.axis[-1] == 1.5
 
-    def test_compatibility(self):
-        a = SamplingGrid.make(2.0, 5)
-        assert a.compatible(SamplingGrid.make(2.0, 5))
-        assert not a.compatible(SamplingGrid.make(2.0, 6))
-        assert not a.compatible(SamplingGrid.make(2.5, 5))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingGrid.make(0.0, 5)
@@ -77,6 +71,9 @@ class TestSamplingGrid:
             SamplingGrid.make(2.0, 1)
         with pytest.raises(ValueError):
             SamplingGrid(float("nan"), 3)
+        for halfwidth in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="halfwidth must be finite"):
+                SamplingGrid.make(halfwidth, 5)
 
 
 class TestSvdTriple:
@@ -462,10 +459,13 @@ class TestIndicator:
         grid = SamplingGrid.make(2.0, 6)
         with pytest.raises(TypeError):
             lsm_indicator(noisy, grid, object())
-        with pytest.raises(ValueError, match="different grid"):
-            other = SamplingGrid.make(3.0, 6)
-            field = RegField(other, np.ones(36))
-            lsm_indicator(noisy, grid, Field(field))
+        for other in (SamplingGrid.make(3.0, 6), SamplingGrid.make(2.0, 7),
+                      SamplingGrid.make(np.nextafter(2.0, 3.0), 6)):
+            field = RegField(other, np.ones(other.resolution ** 2))
+            with pytest.raises(ValueError, match="different grid"):
+                lsm_indicator(noisy, grid, Field(field))
+        same = RegField(SamplingGrid.make(2.0, 6), np.ones(36))
+        lsm_indicator(noisy, grid, Field(same))
         with pytest.raises(ValueError, match="does not match"):
             small = svd(np.eye(4))
             lsm_indicator(noisy, grid, Morozov(delta), svdt=small)
