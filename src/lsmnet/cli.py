@@ -16,7 +16,8 @@ a rerun is byte-identical.  Wall-clock numbers go to stdout only.
 This module imports nothing heavy at the top level on purpose: the
 `--threads` flag (or config key) must pin the BLAS pool sizes before
 the numerical stack loads, so all package imports happen inside the
-command functions.
+command functions, and `main` reads a config file once, into raw text
+entries, pins threads from them and only then builds the config.
 """
 
 from __future__ import annotations
@@ -168,6 +169,11 @@ def write_config(path, config: RunConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _int_list(text: str) -> tuple:
+    """Comma-separated integers; empty tokens are skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
 def _parse_scalar(name: str, kind, text: str):
     try:
         if kind is bool:
@@ -175,10 +181,7 @@ def _parse_scalar(name: str, kind, text: str):
             if lowered not in ("true", "false"):
                 raise ValueError
             return lowered == "true"
-        if kind is tuple:
-            return tuple(int(tok.strip()) for tok in text.split(",")
-                         if tok.strip())
-        return kind(text)
+        return _int_list(text) if kind is tuple else kind(text)
     except ValueError:
         raise ValueError(f"bad value {text!r} for configuration key "
                          f"{name!r}") from None
@@ -207,12 +210,14 @@ def _build_obstacle(index: int, entries: dict):
     return kinds[kind](center=center, **values)
 
 
-def parse_config(path) -> RunConfig:
-    """Read a flat configuration file, rejecting anything unknown."""
-    known = {spec.name: spec for spec in fields(RunConfig)
-             if spec.name != "obstacles"}
-    scalars = {}
-    obstacle_entries = {}
+def _read_entries(path) -> dict:
+    """Raw `key = value` text of a configuration file, keyed by name.
+
+    This is the one read of the file: it checks the line grammar and
+    refuses a repeated key, and imports nothing numeric, so `main` can
+    pin threads from the entries before the config is built.
+    """
+    entries, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -223,22 +228,40 @@ def parse_config(path) -> RunConfig:
                                  f"got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key.startswith("obstacle."):
-                parts = key.split(".")
-                if len(parts) != 3 or not parts[1].isdigit():
-                    raise ValueError(f"unknown configuration key {key!r}")
-                obstacle_entries.setdefault(int(parts[1]), {})[parts[2]] = \
-                    value
-            elif key in known:
-                default = known[key].default
-                kind = type(default) if default is not None else str
-                scalars[key] = _parse_scalar(key, kind, value)
-            else:
+            if key in lines:
+                raise ValueError(f"{path}:{number}: configuration key "
+                                 f"{key!r} repeats line {lines[key]}")
+            lines[key] = number
+            entries[key] = value.strip()
+    return entries
+
+
+def _config_from_entries(entries: dict) -> RunConfig:
+    """Typed configuration from raw entries, rejecting anything unknown."""
+    known = {spec.name: spec for spec in fields(RunConfig)
+             if spec.name != "obstacles"}
+    scalars = {}
+    obstacle_entries = {}
+    for key, value in entries.items():
+        if key.startswith("obstacle."):
+            parts = key.split(".")
+            if len(parts) != 3 or not parts[1].isdigit():
                 raise ValueError(f"unknown configuration key {key!r}")
+            obstacle_entries.setdefault(int(parts[1]), {})[parts[2]] = value
+        elif key in known:
+            default = known[key].default
+            kind = type(default) if default is not None else str
+            scalars[key] = _parse_scalar(key, kind, value)
+        else:
+            raise ValueError(f"unknown configuration key {key!r}")
     obstacles = tuple(_build_obstacle(index, obstacle_entries[index])
                       for index in sorted(obstacle_entries))
     return RunConfig(obstacles=obstacles, **scalars)
+
+
+def parse_config(path) -> RunConfig:
+    """Read a flat configuration file, rejecting anything unknown."""
+    return _config_from_entries(_read_entries(path))
 
 
 def _scene(config: RunConfig):
@@ -250,10 +273,45 @@ def _scene(config: RunConfig):
                           domain_halfwidth=config.L)
 
 
+def _measurement(config: RunConfig, scene):
+    """The scene's far field with the configured noise, and the noise's
+    norm delta; clean data and delta 0 when eta is 0, and `add_noise`
+    refuses a negative eta."""
+    from . import forward, nystrom
+
+    farfield = nystrom.nystrom_farfield(
+        scene, config.k, config.raw_m, config.raw_n,
+        quadrature_points=config.nystrom_q)
+    if config.eta == 0.0:
+        return farfield, 0.0
+    measured, realization = forward.add_noise(farfield, config.eta,
+                                              seed=config.seed)
+    return measured, realization.delta
+
+
 def _outdir(config: RunConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+# Inputs a command reads from the output directory unless given a path:
+# the message prefix and the hint for a missing file.
+_INPUTS = {
+    "deeponet_dataset.bin": ("", "run `lsmnet gen` first"),
+    "noise_dataset.bin": ("", "run `lsmnet gen` first"),
+    "deeponet_model.bin": ("operator model ", "train it or pass --deeponet"),
+    "noisenet_model.bin": ("noise model ", "train it or pass --noisenet"),
+}
+
+
+def _input(config: RunConfig, name: str, given=None) -> Path:
+    """The given path, else `name` in the output directory; it must exist."""
+    path = Path(given) if given else Path(config.out_dir) / name
+    if not path.exists():
+        what, hint = _INPUTS[name]
+        raise FileNotFoundError(f"{what}{path} not found; {hint}")
+    return path
 
 
 def _write_meta(out: Path, command: str, config: RunConfig,
@@ -321,11 +379,8 @@ def cmd_train(config: RunConfig, which: str) -> None:
 
     out = _outdir(config)
     if which == "deeponet":
-        dataset_path = out / "deeponet_dataset.bin"
-        if not dataset_path.exists():
-            raise FileNotFoundError(f"{dataset_path} not found; "
-                                    f"run `lsmnet gen` first")
-        training = deeponet.load_training_set(dataset_path)
+        training = deeponet.load_training_set(
+            _input(config, "deeponet_dataset.bin"))
         trunk = deeponet.make_trunk(config.lam, config.L, config.trunk_h,
                                     config.trunk_s)
         model = deeponet.make_deeponet(trunk, config.m0, config.n0,
@@ -346,11 +401,8 @@ def cmd_train(config: RunConfig, which: str) -> None:
                  ("epochs", config.deeponet_epochs),
                  ("samples", training.count))
     elif which == "noisenet":
-        dataset_path = out / "noise_dataset.bin"
-        if not dataset_path.exists():
-            raise FileNotFoundError(f"{dataset_path} not found; "
-                                    f"run `lsmnet gen` first")
-        dataset = noisenet.load_noise_dataset(dataset_path)
+        dataset = noisenet.load_noise_dataset(
+            _input(config, "noise_dataset.bin"))
         net = noisenet.make_noisenet(config.m0, config.n0,
                                      seed=config.seed)
         started = time.perf_counter()
@@ -377,21 +429,11 @@ def _load_models(config: RunConfig, deeponet_path, noisenet_path,
                  need_noise: bool):
     from . import deeponet, noisenet
 
-    out = Path(config.out_dir)
-    model_path = Path(deeponet_path) if deeponet_path else \
-        out / "deeponet_model.bin"
-    if not model_path.exists():
-        raise FileNotFoundError(f"operator model {model_path} not found; "
-                                f"train it or pass --deeponet")
-    model = deeponet.load_deeponet(model_path)
-    noise_model = None
-    if need_noise:
-        net_path = Path(noisenet_path) if noisenet_path else \
-            out / "noisenet_model.bin"
-        if not net_path.exists():
-            raise FileNotFoundError(f"noise model {net_path} not found; "
-                                    f"train it or pass --noisenet")
-        noise_model = noisenet.load_noisenet(net_path)
+    model = deeponet.load_deeponet(
+        _input(config, "deeponet_model.bin", deeponet_path))
+    noise_model = noisenet.load_noisenet(
+        _input(config, "noisenet_model.bin", noisenet_path)) \
+        if need_noise else None
     return model, noise_model
 
 
@@ -418,7 +460,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
     file with contrast, intersection-over-union against the true
     obstacle mask at threshold 0.5, and the discrepancy-fallback count.
     """
-    from . import deeponet, forward, geometry, nystrom, regsolve
+    from . import deeponet, geometry, regsolve
 
     chosen = tuple(strategies) if strategies else STRATEGIES
     for name in chosen:
@@ -434,15 +476,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
             config, deeponet_path, noisenet_path,
             need_noise="learned" in chosen)
 
-    farfield = nystrom.nystrom_farfield(
-        scene, config.k, config.raw_m, config.raw_n,
-        quadrature_points=config.nystrom_q)
-    if config.eta > 0.0:
-        measured, realization = forward.add_noise(farfield, config.eta,
-                                                  seed=config.seed)
-        delta = realization.delta
-    else:
-        measured, delta = farfield, 0.0
+    measured, delta = _measurement(config, scene)
 
     grid = regsolve.SamplingGrid.make(config.L, config.grid_resolution)
     svdt = regsolve.svd(measured)
@@ -514,12 +548,8 @@ def cmd_noise_eval(config: RunConfig, noisenet_path=None) -> None:
     from . import forward, geometry, noisenet, nystrom
 
     out = _outdir(config)
-    net_path = Path(noisenet_path) if noisenet_path else \
-        Path(config.out_dir) / "noisenet_model.bin"
-    if not net_path.exists():
-        raise FileNotFoundError(f"noise model {net_path} not found; "
-                                f"train it or pass --noisenet")
-    noise_model = noisenet.load_noisenet(net_path)
+    noise_model = noisenet.load_noisenet(
+        _input(config, "noisenet_model.bin", noisenet_path))
 
     cases = (("disk06", geometry.Disk(center=(0.0, 0.0), radius=0.6)),
              ("disk13", geometry.Disk(center=(0.0, 0.0), radius=1.3)),
@@ -634,24 +664,19 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
     are shared by both strategies and excluded.  Each region is repeated,
     alternating between the strategies, and the median kept.
     """
-    from . import deeponet, forward, nystrom, regsolve
+    from . import deeponet, regsolve
 
     out = _outdir(config)
     model, noise_model = _load_models(config, deeponet_path, noisenet_path,
                                       need_noise=True)
-    scene = _scene(config)
-    farfield = nystrom.nystrom_farfield(
-        scene, config.k, config.raw_m, config.raw_n,
-        quadrature_points=config.nystrom_q)
-    measured, realization = forward.add_noise(farfield, config.eta,
-                                              seed=config.seed)
+    measured, delta = _measurement(config, _scene(config))
     svdt = regsolve.svd(measured)
 
     chosen = tuple(sizes) if sizes else config.benchmark_sizes
     records = []
     for size in chosen:
         grid = regsolve.SamplingGrid.make(config.L, size)
-        morozov = regsolve.Morozov(realization.delta)
+        morozov = regsolve.Morozov(delta)
 
         def run_morozov():
             regsolve.lsm_indicator(measured, grid, morozov, svdt=svdt)
@@ -688,21 +713,6 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
         ("repeats", config.benchmark_repeats),
         ("sizes", ",".join(str(size) for size in chosen)),
     ))
-
-
-def _peek_threads(path) -> int:
-    """Extract only the threads key without touching the numeric stack."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line.startswith("threads") and "=" in line:
-                    key, _, value = line.partition("=")
-                    if key.strip() == "threads":
-                        return int(value.strip())
-    except (OSError, ValueError):
-        return 0
-    return 0
 
 
 def _pin_threads(count: int) -> None:
@@ -754,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          DEFAULT_NTK_SWEEP))
     bench = sub.add_parser("benchmark", parents=[common],
                            help="time the regularization strategies")
-    bench.add_argument("--sizes", metavar="N,N,...",
+    bench.add_argument("--sizes", type=_int_list, metavar="N,N,...",
                        help="comma-separated sampling resolutions")
     bench.add_argument("--deeponet", metavar="PATH")
     bench.add_argument("--noisenet", metavar="PATH")
@@ -764,18 +774,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
+    # One read of the file: threads are pinned from its entries before
+    # building the config loads numpy.
+    entries = _read_entries(args.config) if args.config else {}
     threads = args.threads
-    if threads is None and args.config:
-        threads = _peek_threads(args.config)
-    _pin_threads(threads or 0)
+    if threads is None:
+        threads = _parse_scalar("threads", int, entries.get("threads", "0"))
+    _pin_threads(threads)
 
-    config = parse_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if threads is not None and threads != config.threads:
-        config = replace(config, threads=threads)
+    config = _config_from_entries(entries) if args.config \
+        else default_config()
+    overrides = {"seed": args.seed, "out_dir": args.out,
+                 "threads": args.threads}
+    config = replace(config, **{key: value for key, value in
+                                overrides.items() if value is not None})
 
     if args.command == "gen":
         cmd_gen(config)
@@ -790,11 +802,7 @@ def main(argv=None) -> int:
     elif args.command == "ntk":
         cmd_ntk(config, s_values=args.s_values)
     else:
-        sizes = None
-        if args.sizes:
-            sizes = tuple(int(tok) for tok in args.sizes.split(",")
-                          if tok.strip())
-        cmd_benchmark(config, sizes=sizes, deeponet_path=args.deeponet,
+        cmd_benchmark(config, sizes=args.sizes, deeponet_path=args.deeponet,
                       noisenet_path=args.noisenet)
     return 0
 

@@ -92,6 +92,11 @@ def make_trunk(lam: float, L: float, h: float, s: float,
         raise ValueError(f"trunk lam={lam!r}, L={L!r}, h={h!r} has no finite grid")
     if not 0.0 < s < 1.0:
         raise ValueError(f"neighbor value s must lie in (0, 1), got {s}")
+    # h ** 2 is tested before it divides: it can underflow to 0, or be so
+    # small that the shape parameter overflows.
+    if not (h ** 2 > 0.0 and math.isfinite(-math.log(s) / h ** 2)):
+        raise ValueError(f"spacing h={h!r} gives no finite shape parameter "
+                         f"-ln(s)/h**2 for s={s!r}")
     if s < S_MIN:
         if not allow_low_s:
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Obstacle scenes, boundary parametrizations, and membership tests.
+"""Obstacles as boundary curves, scenes, and membership tests.
 
 Obstacles are smooth closed curves (disks, ellipses, kites) traversed
 counterclockwise with period 2*pi. Scenes are non-empty collections of
@@ -15,7 +15,7 @@ analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,6 +30,14 @@ _VALIDATION_SAMPLES = 512
 _WINDING_BLOCK = 1 << 15
 
 
+def _stack(x, y):
+    return np.stack([x, y], axis=-1)
+
+
+# Each obstacle is its own counterclockwise boundary curve, period 2*pi:
+# position, derivative and second derivative map an array of parameters
+# t to an array of shape t.shape + (2,).
+
 @dataclass(frozen=True)
 class Disk:
     center: tuple[float, float]
@@ -38,6 +46,15 @@ class Disk:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
+
+    def position(self, t):
+        return np.add(self.center, self.radius * _stack(np.cos(t), np.sin(t)))
+
+    def derivative(self, t):
+        return self.radius * _stack(-np.sin(t), np.cos(t))
+
+    def second_derivative(self, t):
+        return -self.radius * _stack(np.cos(t), np.sin(t))
 
 
 @dataclass(frozen=True)
@@ -50,6 +67,22 @@ class Ellipse:
     def __post_init__(self):
         if not (self.semi_axis_a > 0 and self.semi_axis_b > 0):
             raise ValueError("semi-axes must be > 0")
+
+    def _rotate(self, x, y):
+        cr, sr = np.cos(self.rotation), np.sin(self.rotation)
+        return _stack(x, y) @ np.array([[cr, -sr], [sr, cr]]).T
+
+    def position(self, t):
+        a, b = self.semi_axis_a, self.semi_axis_b
+        return np.add(self.center, self._rotate(a * np.cos(t), b * np.sin(t)))
+
+    def derivative(self, t):
+        a, b = self.semi_axis_a, self.semi_axis_b
+        return self._rotate(-a * np.sin(t), b * np.cos(t))
+
+    def second_derivative(self, t):
+        a, b = self.semi_axis_a, self.semi_axis_b
+        return self._rotate(-a * np.cos(t), -b * np.sin(t))
 
 
 @dataclass(frozen=True)
@@ -66,91 +99,20 @@ class Kite:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
+    def position(self, t):
+        x = np.cos(t) + 0.65 * np.cos(2 * t) - 0.65
+        return np.add(self.center, self.scale * _stack(x, 1.5 * np.sin(t)))
+
+    def derivative(self, t):
+        x = -np.sin(t) - 1.3 * np.sin(2 * t)
+        return self.scale * _stack(x, 1.5 * np.cos(t))
+
+    def second_derivative(self, t):
+        x = -np.cos(t) - 2.6 * np.cos(2 * t)
+        return self.scale * _stack(x, -1.5 * np.sin(t))
+
 
 Obstacle = Union[Disk, Ellipse, Kite]
-
-
-@dataclass(frozen=True)
-class BoundaryParametrization:
-    """Closed regular curve t -> x(t), period 2*pi, with analytic derivatives."""
-
-    position: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    second_derivative: Callable[[np.ndarray], np.ndarray]
-
-
-def parametrize(obstacle: Obstacle) -> BoundaryParametrization:
-    """Counterclockwise boundary parametrization of a single obstacle.
-
-    Position and derivative maps accept an array of parameters t and return
-    arrays of shape t.shape + (2,).
-    """
-    if isinstance(obstacle, Disk):
-        c = np.asarray(obstacle.center, dtype=float)
-        R = float(obstacle.radius)
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            return c + R * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-        def der(t):
-            t = np.asarray(t, dtype=float)
-            return R * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-        def der2(t):
-            t = np.asarray(t, dtype=float)
-            return -R * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-        return BoundaryParametrization(pos, der, der2)
-
-    if isinstance(obstacle, Ellipse):
-        c = np.asarray(obstacle.center, dtype=float)
-        a, b = float(obstacle.semi_axis_a), float(obstacle.semi_axis_b)
-        cr, sr = np.cos(obstacle.rotation), np.sin(obstacle.rotation)
-        rot = np.array([[cr, -sr], [sr, cr]])
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            xy = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-            return c + xy @ rot.T
-
-        def der(t):
-            t = np.asarray(t, dtype=float)
-            xy = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-            return xy @ rot.T
-
-        def der2(t):
-            t = np.asarray(t, dtype=float)
-            xy = np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1)
-            return xy @ rot.T
-
-        return BoundaryParametrization(pos, der, der2)
-
-    if isinstance(obstacle, Kite):
-        c = np.asarray(obstacle.center, dtype=float)
-        s = float(obstacle.scale)
-
-        def pos(t):
-            t = np.asarray(t, dtype=float)
-            x = np.cos(t) + 0.65 * np.cos(2 * t) - 0.65
-            y = 1.5 * np.sin(t)
-            return c + s * np.stack([x, y], axis=-1)
-
-        def der(t):
-            t = np.asarray(t, dtype=float)
-            x = -np.sin(t) - 1.3 * np.sin(2 * t)
-            y = 1.5 * np.cos(t)
-            return s * np.stack([x, y], axis=-1)
-
-        def der2(t):
-            t = np.asarray(t, dtype=float)
-            x = -np.cos(t) - 2.6 * np.cos(2 * t)
-            y = -1.5 * np.sin(t)
-            return s * np.stack([x, y], axis=-1)
-
-        return BoundaryParametrization(pos, der, der2)
-
-    raise TypeError(f"unknown obstacle type {type(obstacle).__name__}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +136,7 @@ class Scene:
         if not self.domain_halfwidth > 0:
             raise ValueError("domain_halfwidth must be > 0")
         t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
-        samples = [parametrize(ob).position(t) for ob in self.obstacles]
+        samples = [ob.position(t) for ob in self.obstacles]
         hw = self.domain_halfwidth
         for ob, pts in zip(self.obstacles, samples):
             if np.any(np.abs(pts) > hw):
@@ -232,7 +194,7 @@ def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMP
             d = np.hypot(points[:, 0] - ob.center[0], points[:, 1] - ob.center[1])
             inside |= d <= ob.radius
         else:
-            boundary = parametrize(ob).position(t)
+            boundary = ob.position(t)
             # The winding number is 0 outside the closed bounding box, so
             # only points inside it need the test.
             low, high = boundary.min(axis=0), boundary.max(axis=0)

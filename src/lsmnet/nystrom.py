@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forward import FarFieldMatrix, incidence_angles, observation_angles
-from .geometry import Scene, parametrize
+from .geometry import Obstacle, Scene
 from .specialfn import bessel_j, bessel_y
 
 EULER_GAMMA = 0.5772156649015328606
@@ -48,12 +48,12 @@ def kress_weights(n: int) -> np.ndarray:
 class _BoundaryData:
     """Samples of one boundary at the q equispaced parameter points."""
 
-    def __init__(self, parametrization, q: int):
+    def __init__(self, obstacle: Obstacle, q: int):
         t = 2.0 * np.pi * np.arange(q) / q
         self.t = t
-        self.x = parametrization.position(t)
-        self.dx = parametrization.derivative(t)
-        self.ddx = parametrization.second_derivative(t)
+        self.x = obstacle.position(t)
+        self.dx = obstacle.derivative(t)
+        self.ddx = obstacle.second_derivative(t)
         self.speed = np.linalg.norm(self.dx, axis=1)
         if np.any(self.speed <= 0.0):
             raise ValueError("boundary parametrization has a stationary point")
@@ -130,7 +130,7 @@ def _cross_block(target: _BoundaryData, source: _BoundaryData,
 
 
 def _solve_farfield(scene: Scene, k: float, m: int, n: int, q: int) -> FarFieldMatrix:
-    boundaries = [_BoundaryData(parametrize(ob), q) for ob in scene.obstacles]
+    boundaries = [_BoundaryData(ob, q) for ob in scene.obstacles]
     count = len(boundaries)
     total = count * q
     eta = k

@@ -163,6 +163,20 @@ def test_trunk_is_checked_against_the_branch_before_it_is_built(
     assert "model.bin" in str(err.value)
 
 
+def test_spacing_without_finite_shape_parameter_is_refused(tmp_path):
+    """lam = h = 1e-170 and L = 1 still give the branch's 3 x 3 centers,
+    but h ** 2 underflows to 0, so -ln(s) / h ** 2 has no value."""
+    path = tmp_path / "model.bin"
+    _rdon(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 4, 1e-170)            # lam
+    struct.pack_into("<d", blob, 4 + 2 * 8, 1e-170)    # h
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=r"spacing h=1e-170") as err:
+        deeponet.load_deeponet(path)
+    assert "model.bin" in str(err.value)
+
+
 def test_reader_checks_bounds_before_reading():
     reader = archive.Reader(struct.pack("<I", 7) + b"\x00" * 8)
     assert reader.header("I") == (7,)

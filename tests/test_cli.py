@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,17 +142,83 @@ class TestConfigFile:
         assert parse_config(path).seed == 3
 
 
-class TestThreadPeek:
+class TestSingleRead:
+    """`main` reads a config file once: threads are pinned from the same
+    entries the config is built from, and a repeated key is refused."""
+
     def test_reads_threads_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = 1\nthreads = 3\n")
-        assert cli._peek_threads(path) == 3
+        assert cli._read_entries(path) == {"seed": "1", "threads": "3"}
+        assert parse_config(path).threads == 3
 
     def test_absent_key_or_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = 1\n")
-        assert cli._peek_threads(path) == 0
-        assert cli._peek_threads(tmp_path / "missing.cfg") == 0
+        assert "threads" not in cli._read_entries(path)
+        assert parse_config(path).threads == 0
+        with pytest.raises(FileNotFoundError):
+            main(["gen", "--config", str(tmp_path / "missing.cfg")])
+
+    @pytest.mark.parametrize("key", ["threads", "seed", "obstacle.0.radius"])
+    def test_repeated_key_names_both_lines(self, key, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"k = 6.0\n{key} = 1\n# between\n{key} = 2\n")
+        message = f"cfg.txt:4: configuration key '{key}' repeats line 2"
+        with pytest.raises(ValueError, match=message):
+            parse_config(path)
+        with pytest.raises(ValueError, match=message):
+            main(["gen", "--config", str(path), "--out", str(tmp_path)])
+        assert not any(tmp_path.glob("*.bin"))
+
+
+# Run in a fresh interpreter: stop at the first import of numpy and report
+# the thread pinning it would start its pools with.
+_NUMPY_PROBE = """
+import os, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy loads with", os.environ.get("OPENBLAS_NUM_THREADS"),
+                  flush=True)
+            os._exit(0)
+
+sys.meta_path.insert(0, Probe())
+import lsmnet, lsmnet.cli
+lsmnet.cli._build_parser().parse_args(sys.argv[1:])
+print("parsed without numpy", flush=True)
+lsmnet.cli.main(sys.argv[1:])
+"""
+
+
+class TestThreadPinning:
+    def test_config_threads_are_pinned_before_numpy_loads(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        write_config(path, dataclasses.replace(default_config(), threads=3))
+        env = {key: value for key, value in os.environ.items()
+               if key not in cli._THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, "gen", "--config",
+             str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["parsed without numpy",
+                                            "numpy loads with 3"]
+
+
+class TestBenchmarkSizes:
+    def test_bad_size_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["benchmark", "--sizes", "5,x"])
+        assert exit_info.value.code == 2
+        assert "--sizes" in capsys.readouterr().err
+
+    def test_empty_tokens_are_skipped(self):
+        args = cli._build_parser().parse_args(["benchmark", "--sizes",
+                                               " 5,,7 ,"])
+        assert args.sizes == (5, 7)
 
 
 class TestPipeline:
@@ -228,6 +297,14 @@ class TestPipeline:
         clean = dataclasses.replace(config, eta=0.0)
         with pytest.raises(ValueError, match="eta > 0"):
             cli.cmd_reconstruct(clean, strategies=("morozov",))
+
+    @pytest.mark.parametrize("command", [cli.cmd_reconstruct,
+                                         cli.cmd_benchmark],
+                             ids=["reconstruct", "benchmark"])
+    def test_negative_noise_level_is_refused(self, pipeline, command):
+        config, _, _, _, _ = pipeline
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            command(dataclasses.replace(config, eta=-0.1))
 
     def test_train_requires_generated_data(self, pipeline, tmp_path):
         config, _, _, _, _ = pipeline

@@ -137,6 +137,10 @@ class TestTrunk:
             make_trunk(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="no finite grid"):
             make_trunk(1e200, 1e200, 1.0, 0.3)
+        # h ** 2 underflows to 0; a subnormal h ** 2 overflows epsilon.
+        for h in (1e-170, 1e-155):
+            with pytest.raises(ValueError, match=f"spacing h={h!r}"):
+                make_trunk(h, 1.0, h, 0.15)
         for index, name in enumerate(("lam", "L", "h")):
             for value in (np.inf, np.nan):
                 args = [1.0, 4.0, 0.5, 0.15]

@@ -1,10 +1,10 @@
-"""Obstacle shapes, boundary parametrizations, and membership tests."""
+"""Obstacle shapes as boundary curves, and membership tests."""
 
 import numpy as np
 import pytest
 
 from lsmnet.geometry import (_WINDING_BLOCK, Disk, Ellipse, Kite, Scene,
-                             _winding, contains_mask, parametrize)
+                             _winding, contains_mask)
 from lsmnet.regsolve import SamplingGrid
 
 
@@ -13,7 +13,7 @@ def _boundary_distance(scene, points, samples):
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     dmin = np.full(points.shape[0], np.inf)
     for ob in scene.obstacles:
-        boundary = parametrize(ob).position(t)
+        boundary = ob.position(t)
         d2 = np.sum((points[:, None, :] - boundary[None, :, :]) ** 2, axis=-1)
         dmin = np.minimum(dmin, np.sqrt(np.min(d2, axis=1)))
     return dmin
@@ -41,7 +41,7 @@ def _unfiltered_mask(scene, points, samples=2048):
             inside |= np.hypot(points[:, 0] - ob.center[0],
                                points[:, 1] - ob.center[1]) <= ob.radius
             continue
-        boundary = parametrize(ob).position(t)
+        boundary = ob.position(t)
         # Blocks of 1000 rows only bound memory; each row is independent.
         for lo in range(0, points.shape[0], 1000):
             winding = _reference_winding(boundary, points[lo:lo + 1000])
@@ -57,7 +57,7 @@ def _bounding_box_points(scene):
     for ob in scene.obstacles:
         if isinstance(ob, Disk):
             continue
-        boundary = parametrize(ob).position(t)
+        boundary = ob.position(t)
         (x0, y0), (x1, y1) = boundary.min(axis=0), boundary.max(axis=0)
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         extra.append(boundary[[np.argmin(boundary[:, 0]),
@@ -69,8 +69,101 @@ def _bounding_box_points(scene):
     return np.vstack(extra)
 
 
+def _reference_curve(obstacle):
+    """The closures each obstacle's boundary curve was once built from:
+    the oracle for the `position`, `derivative` and `second_derivative`
+    methods, which keep their expressions and order of operations."""
+    if isinstance(obstacle, Disk):
+        c = np.asarray(obstacle.center, dtype=float)
+        R = float(obstacle.radius)
+
+        def pos(t):
+            t = np.asarray(t, dtype=float)
+            return c + R * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+        def der(t):
+            t = np.asarray(t, dtype=float)
+            return R * np.stack([-np.sin(t), np.cos(t)], axis=-1)
+
+        def der2(t):
+            t = np.asarray(t, dtype=float)
+            return -R * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+        return pos, der, der2
+
+    if isinstance(obstacle, Ellipse):
+        c = np.asarray(obstacle.center, dtype=float)
+        a, b = float(obstacle.semi_axis_a), float(obstacle.semi_axis_b)
+        cr, sr = np.cos(obstacle.rotation), np.sin(obstacle.rotation)
+        rot = np.array([[cr, -sr], [sr, cr]])
+
+        def pos(t):
+            t = np.asarray(t, dtype=float)
+            xy = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+            return c + xy @ rot.T
+
+        def der(t):
+            t = np.asarray(t, dtype=float)
+            xy = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
+            return xy @ rot.T
+
+        def der2(t):
+            t = np.asarray(t, dtype=float)
+            xy = np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1)
+            return xy @ rot.T
+
+        return pos, der, der2
+
+    c = np.asarray(obstacle.center, dtype=float)
+    s = float(obstacle.scale)
+
+    def pos(t):
+        t = np.asarray(t, dtype=float)
+        x = np.cos(t) + 0.65 * np.cos(2 * t) - 0.65
+        y = 1.5 * np.sin(t)
+        return c + s * np.stack([x, y], axis=-1)
+
+    def der(t):
+        t = np.asarray(t, dtype=float)
+        x = -np.sin(t) - 1.3 * np.sin(2 * t)
+        y = 1.5 * np.cos(t)
+        return s * np.stack([x, y], axis=-1)
+
+    def der2(t):
+        t = np.asarray(t, dtype=float)
+        x = -np.cos(t) - 2.6 * np.cos(2 * t)
+        y = -1.5 * np.sin(t)
+        return s * np.stack([x, y], axis=-1)
+
+    return pos, der, der2
+
+
+@pytest.mark.parametrize("obstacle", [
+    Disk(center=(0.4, -0.3), radius=0.9),
+    Kite(center=(0.2, 0.1), scale=0.8),
+    Ellipse(center=(0.7, -0.4), semi_axis_a=1.3, semi_axis_b=0.6),
+    Ellipse(center=(0.7, -0.4), semi_axis_a=1.3, semi_axis_b=0.6,
+            rotation=0.3),
+], ids=["disk", "kite", "ellipse", "rotated-ellipse"])
+def test_curve_methods_are_bitwise_the_reference(obstacle):
+    """At the quadrature nodes (q = 32 and 128), the mask's and the scene
+    check's samples, and off-grid parameters."""
+    t = np.concatenate([2.0 * np.pi * np.arange(q) / q for q in (32, 128)]
+                       + [np.linspace(0.0, 2.0 * np.pi, samples,
+                                      endpoint=False)
+                          for samples in (512, 2048)]
+                       + [np.random.default_rng(5).uniform(-7.0, 7.0, 99)])
+    methods = (obstacle.position, obstacle.derivative,
+               obstacle.second_derivative)
+    for method, reference in zip(methods, _reference_curve(obstacle)):
+        got, want = method(t), reference(t)
+        assert got.shape == want.shape == t.shape + (2,)
+        assert np.array_equal(got, want), method.__name__
+        assert got.tobytes() == want.tobytes(), method.__name__
+
+
 def test_disk_parametrization_points():
-    bd = parametrize(Disk(center=(0.0, 0.0), radius=1.0))
+    bd = Disk(center=(0.0, 0.0), radius=1.0)
     np.testing.assert_allclose(bd.position(np.array(0.0)), [1.0, 0.0],
                                atol=1e-15)
     np.testing.assert_allclose(bd.position(np.array(np.pi / 2)), [0.0, 1.0],
@@ -79,21 +172,20 @@ def test_disk_parametrization_points():
 
 def test_kite_parametrization_at_zero():
     # cos 0 + 0.65 cos 0 - 0.65 = 1, 1.5 sin 0 = 0
-    bd = parametrize(Kite(center=(0.0, 0.0), scale=1.0))
+    bd = Kite(center=(0.0, 0.0), scale=1.0)
     np.testing.assert_allclose(bd.position(np.array(0.0)), [1.0, 0.0],
                                atol=1e-15)
-    scaled = parametrize(Kite(center=(0.5, -0.5), scale=2.0))
+    scaled = Kite(center=(0.5, -0.5), scale=2.0)
     np.testing.assert_allclose(scaled.position(np.array(0.0)), [2.5, -0.5],
                                atol=1e-15)
 
 
 def test_ellipse_parametrization_points():
-    bd = parametrize(Ellipse(center=(0.0, 0.0), semi_axis_a=2.0,
-                             semi_axis_b=1.0))
+    bd = Ellipse(center=(0.0, 0.0), semi_axis_a=2.0, semi_axis_b=1.0)
     np.testing.assert_allclose(bd.position(np.array(np.pi / 2)), [0.0, 1.0],
                                atol=1e-15)
-    rotated = parametrize(Ellipse(center=(0.0, 0.0), semi_axis_a=2.0,
-                                  semi_axis_b=1.0, rotation=np.pi / 2))
+    rotated = Ellipse(center=(0.0, 0.0), semi_axis_a=2.0, semi_axis_b=1.0,
+                      rotation=np.pi / 2)
     np.testing.assert_allclose(rotated.position(np.array(0.0)), [0.0, 2.0],
                                atol=1e-14)
 
@@ -104,8 +196,7 @@ def test_parametrization_closure_and_regularity():
                       rotation=0.4),
               Kite(center=(-0.2, 0.5), scale=0.8))
     t = np.linspace(0.0, 2.0 * np.pi, 257)
-    for shape in shapes:
-        bd = parametrize(shape)
+    for bd in shapes:
         np.testing.assert_allclose(bd.position(np.array(0.0)),
                                    bd.position(np.array(2.0 * np.pi)),
                                    atol=1e-12)
@@ -116,11 +207,10 @@ def test_parametrization_closure_and_regularity():
 def test_derivative_matches_finite_differences():
     t = np.linspace(0.1, 2.0 * np.pi - 0.1, 50)
     step = 1e-6
-    for shape in (Disk(center=(0.0, 0.0), radius=1.3),
-                  Ellipse(center=(0.5, 0.0), semi_axis_a=1.2,
-                          semi_axis_b=0.7, rotation=0.9),
-                  Kite(center=(0.0, 0.0), scale=1.0)):
-        bd = parametrize(shape)
+    for bd in (Disk(center=(0.0, 0.0), radius=1.3),
+               Ellipse(center=(0.5, 0.0), semi_axis_a=1.2,
+                       semi_axis_b=0.7, rotation=0.9),
+               Kite(center=(0.0, 0.0), scale=1.0)):
         fd = (bd.position(t + step) - bd.position(t - step)) / (2.0 * step)
         np.testing.assert_allclose(bd.derivative(t), fd, rtol=1e-8,
                                    atol=1e-8)
@@ -137,9 +227,8 @@ def test_counterclockwise_orientation():
                   Ellipse(center=(0.0, 0.0), semi_axis_a=2.0,
                           semi_axis_b=0.5, rotation=1.1),
                   Kite(center=(0.0, 0.0), scale=1.0)):
-        bd = parametrize(shape)
-        x = bd.position(t)
-        dx = bd.derivative(t)
+        x = shape.position(t)
+        dx = shape.derivative(t)
         area = 0.5 * np.mean(x[:, 0] * dx[:, 1] - x[:, 1] * dx[:, 0]) \
             * 2.0 * np.pi
         assert area > 0.0, shape
@@ -215,7 +304,7 @@ def test_boundary_samples_are_inside(obstacle):
     labels: every boundary sample is inside, the extreme ones of the
     bounding box included, where the angle sum meets signed zeros."""
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    boundary = parametrize(obstacle).position(t)
+    boundary = obstacle.position(t)
     extremes = boundary[[np.argmin(boundary[:, 0]), np.argmax(boundary[:, 0]),
                          np.argmin(boundary[:, 1]), np.argmax(boundary[:, 1])]]
     np.testing.assert_array_equal(_winding(boundary, extremes), 1.0)
@@ -231,7 +320,7 @@ def test_winding_bitwise_equal_to_reference(obstacle, resolution):
     """The blocked winding numbers are the reference's to the bit, signed
     zeros included, on the box's grid points, its edges and the samples."""
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    boundary = parametrize(obstacle).position(t)
+    boundary = obstacle.position(t)
     points = SamplingGrid.make(4.0, resolution).points
     points = np.vstack([
         points[np.all((boundary.min(axis=0) <= points)
@@ -248,7 +337,7 @@ def test_mask_with_several_winding_blocks(samples):
     last one included, bitwise as the reference.  Block heights 16, 10
     and 1 (more samples than a block holds)."""
     rows = max(1, _WINDING_BLOCK // samples)
-    boundary = parametrize(_LARGE_ELLIPSE).position(
+    boundary = _LARGE_ELLIPSE.position(
         np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
     points = SamplingGrid.make(4.0, 200 if rows > 1 else 40).points
     points = points[np.all((boundary.min(axis=0) <= points)

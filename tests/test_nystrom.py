@@ -5,7 +5,7 @@ import pytest
 
 from lsmnet import nystrom
 from lsmnet.forward import disk_farfield, spectral_norm
-from lsmnet.geometry import Disk, Ellipse, Kite, Scene, parametrize
+from lsmnet.geometry import Disk, Ellipse, Kite, Scene
 from lsmnet.nystrom import (EULER_GAMMA, _BoundaryData,
                             _self_block, kress_weights, nystrom_farfield)
 from lsmnet.specialfn import bessel_j, bessel_y
@@ -104,7 +104,7 @@ class TestOneTriangleSelfBlock:
         Disk((0.9, -1.1), 0.7),
     ], ids=["kite", "ellipse", "disk"])
     def test_self_block_matches_full_matrix(self, obstacle, q):
-        bd = _BoundaryData(parametrize(obstacle), q)
+        bd = _BoundaryData(obstacle, q)
         got = _self_block(bd, K, K)
         want = _reference_self_block(bd, K, K)
         assert np.array_equal(got, want)
