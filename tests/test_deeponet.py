@@ -230,6 +230,15 @@ class TestCorpus:
         np.testing.assert_array_equal(corpus.matrices, matrices)
         np.testing.assert_array_equal(corpus.labels, labels)
 
+    def test_labels_do_not_depend_on_the_bessel_kernels(self, request):
+        trunk = _tiny_trunk()
+        got = gen_training_set(trunk, K, 8, 8, seed=2, noise_eta_range=(0.01, 0.2))
+        request.getfixturevalue("general_order_bessel")
+        want = gen_training_set(trunk, K, 8, 8, seed=2, noise_eta_range=(0.01, 0.2))
+        assert got.labels.tobytes() == want.labels.tobytes()
+        gap = np.max(np.abs(got.matrices - want.matrices), axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.max(np.abs(want.matrices), axis=(1, 2)))
+
     def test_seed_pins_the_corpus(self):
         trunk = _tiny_trunk()
         a = gen_training_set(trunk, K, 4, 4, seed=5)

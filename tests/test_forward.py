@@ -166,6 +166,18 @@ class TestBatchedDisks:
         np.testing.assert_array_equal(
             entries, scalar_disk_farfield((0.3, -1.2), 0.8, K, 9, 11))
 
+    def test_within_1e14_of_general_order_kernels(self, request):
+        # The corpus radii, half to one and a half wavelengths: kR from
+        # 3.1 to 9.4 and series orders up to N = 30.
+        radii = np.linspace(0.5, 1.5, 41)
+        centers = np.random.default_rng(7).uniform(-3.0, 3.0, size=(41, 2))
+        assert math.ceil(K * radii[-1]) + 20 == 30
+        got = disk_farfields(centers, radii, K, 30, 30)
+        request.getfixturevalue("general_order_bessel")
+        want = disk_farfields(centers, radii, K, 30, 30)
+        gap = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
+
     def test_eigenvalues_share_the_ratio_table(self):
         lam = operator_eigenvalues_disk(0.9, K, 25)
         ratios = np.array([bessel_j(p, K * 0.9) / hankel1(p, K * 0.9)

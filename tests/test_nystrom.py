@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
-from lsmnet import nystrom
+from lsmnet import nystrom, specialfn
 from lsmnet.forward import disk_farfield, spectral_norm
 from lsmnet.geometry import Disk, Ellipse, Kite, Scene
 from lsmnet.nystrom import (EULER_GAMMA, _BoundaryData,
@@ -120,6 +121,33 @@ class TestOneTriangleSelfBlock:
         want = nystrom_farfield(scene, K, 24, 20).entries
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+class TestFixedOrderKernels:
+    """The far field from the Cephes order-0 and order-1 kernels against
+    the same solve with scipy's general-order jv/yv."""
+
+    @pytest.mark.parametrize("scene", [
+        _kite((0.0, 0.0), 0.8),
+        Scene((Ellipse((-1.5, 0.5), 0.8, 0.5, 0.3), Disk((1.5, -0.5), 0.6))),
+    ], ids=["kite", "ellipse-and-disk"])
+    def test_farfield_within_1e14_of_general_order(self, scene, request):
+        got = nystrom_farfield(scene, K, 50, 50).entries
+        request.getfixturevalue("general_order_bessel")
+        want = nystrom_farfield(scene, K, 50, 50).entries
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_solve_never_calls_the_general_order_routines(self, monkeypatch):
+        class NoGeneralOrder:
+            def __getattr__(self, name):
+                if name in ("jv", "yv"):
+                    raise AssertionError(f"scipy.special.{name} called")
+                return getattr(special, name)
+
+        monkeypatch.setattr(specialfn, "_sp", NoGeneralOrder())
+        field = nystrom_farfield(_kite((0.3, -0.2), 0.8), K, 16, 16,
+                                 quadrature_points=32)
+        assert np.all(np.isfinite(field.entries))
 
 
 class TestDiskAgainstSeries:

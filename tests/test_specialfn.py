@@ -8,6 +8,7 @@ direct power-series summation in extended precision.
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from lsmnet.specialfn import ORDER_CAP, bessel_j, bessel_y, hankel1
 
@@ -56,11 +57,33 @@ def test_j_against_high_precision_oracle():
 def test_y_against_high_precision_oracle():
     """Relative error <= 1e-10 for 1e-3 <= x <= 100."""
     xs = np.logspace(-3, 2, 25)
-    for order in (0, 1, 2, 5, 10, 25):
+    for order in (0, 1, 2, 5, 10, 25, 30):
         for x in xs:
             exact = float(mpmath.bessely(order, mpmath.mpf(x)))
             got = bessel_y(order, float(x))
             assert abs(got - exact) <= 1e-10 * abs(exact), (order, x)
+
+
+@pytest.mark.parametrize("fn, order, kernel", [
+    (bessel_j, 0, special.j0), (bessel_j, 1, special.j1),
+    (bessel_y, 0, special.y0), (bessel_y, 1, special.y1),
+], ids=["j0", "j1", "y0", "y1"])
+def test_orders_0_and_1_are_the_fixed_order_kernels(fn, order, kernel):
+    xs = np.logspace(-3, 2, 200)
+    assert fn(order, xs).tobytes() == kernel(xs).tobytes()
+    assert fn(order, 2.5) == kernel(2.5)
+
+
+def test_y_of_order_2_and_above_is_the_integer_order_kernel():
+    xs = np.logspace(-1, 2, 200)
+    for order in (2, 3, 10, 30, ORDER_CAP):
+        assert bessel_y(order, xs).tobytes() == special.yn(order, xs).tobytes()
+
+
+def test_j_of_order_2_and_above_is_the_general_order_kernel():
+    xs = np.logspace(-3, 2, 200)
+    for order in (2, 3, 10, 30, ORDER_CAP):
+        assert bessel_j(order, xs).tobytes() == special.jv(order, xs).tobytes()
 
 
 def test_wronskian_property_grid():
@@ -142,6 +165,29 @@ def test_domain_rejections():
         bessel_j(0, np.inf)
     with pytest.raises(ValueError):
         bessel_j(0.5, 1.0)
+
+
+@pytest.mark.parametrize("fn", [bessel_j, bessel_y, hankel1])
+@pytest.mark.parametrize("order", ["3", "0", b"1", True, False, np.bool_(True),
+                                   None, 1 + 0j, [1]])
+def test_order_that_is_not_a_number_is_refused(fn, order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        fn(order, 1.0)
+
+
+@pytest.mark.parametrize("fn", [bessel_j, bessel_y, hankel1])
+@pytest.mark.parametrize("x", [1 + 1j, 2.0 + 0j, np.array([1.0, 2.0 + 0.5j]),
+                               [0.5, 1j], "1.0", ["2", "3"], True,
+                               np.array([1.0, None])])
+def test_argument_that_is_not_real_is_refused(fn, x):
+    with pytest.raises(ValueError, match="x must be real"):
+        fn(0, x)
+
+
+def test_integral_orders_of_any_numeric_type_are_accepted():
+    for order in (3, 3.0, np.int64(3), np.float32(3.0)):
+        assert bessel_j(order, 2.0) == bessel_j(3, 2.0)
+        assert bessel_y(order, 2.0) == bessel_y(3, 2.0)
 
 
 def test_vectorized_arguments():
