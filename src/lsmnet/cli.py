@@ -37,6 +37,8 @@ _STRATEGY_STEMS = {"morozov": "morozov", "constant": "constant",
                    "learned": "learned", "deeponet-only": "deeponet"}
 
 DEFAULT_NTK_SWEEP = (0.05, 0.15, 0.4, 0.8)
+DEFAULT_BENCHMARK_SIZES = (10, 20, 50, 100, 200, 500)
+BENCHMARK_REPEATS = 3
 # Tangent-kernel diagnostics use their own fixed trunk geometry: unit
 # wavelength, half-wavelength spacing, 11x11 centers.  The point of the
 # command is the overlap sweep at a standard size, not the scene.
@@ -57,14 +59,13 @@ class RunConfig:
     """Every knob of the pipeline with its standard value.
 
     The defaults reproduce the reference setup end to end: unit
-    wavelength (k = 2 pi), a sampling square of halfwidth 4 probed at
-    100 x 100 points, 30 x 30 canonical far-field shape, half-wavelength
-    trunk spacing with overlap 0.15, and the optimizer settings both
-    networks were tuned with.  Raw measurements are taken at 50 x 50
-    and folded down to the canonical shape by the consumers.
+    wavelength (k = 2 pi / lam is derived, not set), a sampling square of
+    halfwidth 4 probed at 100 x 100 points, 30 x 30 canonical far-field
+    shape, half-wavelength trunk spacing with overlap 0.15, and the
+    optimizer settings both networks were tuned with.  Raw measurements
+    are 50 x 50, folded to the canonical shape where used.
     """
 
-    k: float = 2.0 * math.pi
     lam: float = 1.0
     L: float = 4.0
     grid_resolution: int = 100
@@ -93,9 +94,11 @@ class RunConfig:
     seed: int = 0
     threads: int = 0
     out_dir: str = "out"
-    benchmark_sizes: tuple = (10, 20, 50, 100, 200, 500)
-    benchmark_repeats: int = 3
     obstacles: tuple = ()
+
+    @property
+    def k(self) -> float:
+        return 2.0 * math.pi / self.lam
 
 
 def default_config() -> RunConfig:
@@ -111,8 +114,6 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     return str(value)
 
 
@@ -181,7 +182,7 @@ def _parse_scalar(name: str, kind, text: str):
             if lowered not in ("true", "false"):
                 raise ValueError
             return lowered == "true"
-        return _int_list(text) if kind is tuple else kind(text)
+        return kind(text)
     except ValueError:
         raise ValueError(f"bad value {text!r} for configuration key "
                          f"{name!r}") from None
@@ -249,9 +250,7 @@ def _config_from_entries(entries: dict) -> RunConfig:
                 raise ValueError(f"unknown configuration key {key!r}")
             obstacle_entries.setdefault(int(parts[1]), {})[parts[2]] = value
         elif key in known:
-            default = known[key].default
-            kind = type(default) if default is not None else str
-            scalars[key] = _parse_scalar(key, kind, value)
+            scalars[key] = _parse_scalar(key, type(known[key].default), value)
         else:
             raise ValueError(f"unknown configuration key {key!r}")
     obstacles = tuple(_build_obstacle(index, obstacle_entries[index])
@@ -431,6 +430,7 @@ def _load_models(config: RunConfig, deeponet_path, noisenet_path,
 
     model = deeponet.load_deeponet(
         _input(config, "deeponet_model.bin", deeponet_path))
+    deeponet.check_wavelength(model.trunk, config.k)
     noise_model = noisenet.load_noisenet(
         _input(config, "noisenet_model.bin", noisenet_path)) \
         if need_noise else None
@@ -613,7 +613,8 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
                                    0.15)
     outputs = template.p_h
 
-    farfield = forward.disk_farfield((0.0, 0.0), _NTK_LAM, config.k,
+    farfield = forward.disk_farfield((0.0, 0.0), _NTK_LAM,
+                                     2.0 * math.pi / _NTK_LAM,
                                      config.m0, config.n0)
     features = deeponet.branch_features(farfield)
     branch = nn.init_mlp((features.size, 3 * outputs, outputs), "tanh",
@@ -672,7 +673,7 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
     measured, delta = _measurement(config, _scene(config))
     svdt = regsolve.svd(measured)
 
-    chosen = tuple(sizes) if sizes else config.benchmark_sizes
+    chosen = tuple(sizes) if sizes else DEFAULT_BENCHMARK_SIZES
     records = []
     for size in chosen:
         grid = regsolve.SamplingGrid.make(config.L, size)
@@ -691,7 +692,7 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
         # machine throughput lands on both rather than on one.
         runners = {"morozov": run_morozov, "learned": run_learned}
         samples = {name: [] for name in runners}
-        for _ in range(config.benchmark_repeats):
+        for _ in range(BENCHMARK_REPEATS):
             for name, runner in runners.items():
                 started = time.perf_counter()
                 runner()
@@ -710,7 +711,7 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
               newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_meta(out, "benchmark", config, extra=(
-        ("repeats", config.benchmark_repeats),
+        ("repeats", BENCHMARK_REPEATS),
         ("sizes", ",".join(str(size) for size in chosen)),
     ))
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import archive, nn, noisenet
-from .forward import FarFieldMatrix, add_noise, disk_farfields, fourier_resample
+from .forward import FarFieldMatrix, disk_farfields, fourier_resample
 from .regsolve import IndicatorField, RegField, SamplingGrid, tensor_points
 
 logger = logging.getLogger(__name__)
@@ -159,7 +159,6 @@ class TrainingSet:
     matrices: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    etas: np.ndarray
     labels: np.ndarray
     k: float
 
@@ -168,12 +167,12 @@ class TrainingSet:
         if self.matrices.ndim != 3:
             raise ValueError("matrices must be (count, m0, n0)")
         if (self.centers.shape != (count, 2) or self.radii.shape != (count,)
-                or self.etas.shape != (count,) or self.labels.shape[0] != count):
+                or self.labels.shape[0] != count):
             raise ValueError("training arrays disagree on sample count")
         if self.labels.ndim != 2 or not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be a binary (count, p_h) array")
-        if np.any(self.radii <= 0.0) or np.any(self.etas < 0.0):
-            raise ValueError("radii must be positive and noise levels nonnegative")
+        if np.any(self.radii <= 0.0):
+            raise ValueError("radii must be positive")
         if not np.isfinite(self.k) or self.k <= 0.0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
 
@@ -183,14 +182,13 @@ class TrainingSet:
 
 
 def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
-                     radius_range=None, noise_eta_range=None) -> TrainingSet:
-    """Deterministic disk corpus: 16 samples per basis function.
+                     radius_range=None) -> TrainingSet:
+    """Deterministic clean disk corpus: 16 samples per basis function.
 
     Disk centers run over a position grid refined 4x from the trunk grid
     (so 16 p_h samples), radii are uniform on radius_range (default half
-    to one and a half wavelengths), and labels mark which trunk centers
-    fall inside the disk, boundary included.  Draw order is fixed: all
-    radii first, then, when noise is requested, all levels and all seeds.
+    to one and a half wavelengths) and are the only draws, and labels
+    mark which trunk centers fall inside the disk, boundary included.
     """
     if radius_range is None:
         radius_range = (0.5 * trunk.lam, 1.5 * trunk.lam)
@@ -204,27 +202,21 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     count = positions.shape[0]
 
     radii = rng.uniform(r_lo, r_hi, size=count)
-    if noise_eta_range is not None:
-        e_lo, e_hi = noise_eta_range
-        if not 0.0 < e_lo <= e_hi:
-            raise ValueError(f"bad noise range {noise_eta_range}")
-        etas = np.exp(rng.uniform(np.log(e_lo), np.log(e_hi), size=count))
-        seeds = rng.integers(0, 2 ** 63, size=count)
-    else:
-        etas = np.zeros(count)
-
     matrices = disk_farfields(positions, radii, k, m0, n0)
-    if noise_eta_range is not None:
-        for i in range(count):
-            noisy, _ = add_noise(FarFieldMatrix(matrices[i], k), etas[i],
-                                 int(seeds[i]))
-            matrices[i] = noisy.entries
     labels = np.empty((count, trunk.p_h), dtype=np.uint8)
     for lo in range(0, count, _LABEL_BLOCK):
         block = slice(lo, lo + _LABEL_BLOCK)
         gaps = trunk.centers[None, :, :] - positions[block, None, :]
         labels[block] = np.linalg.norm(gaps, axis=2) <= radii[block, None]
-    return TrainingSet(matrices, positions, radii, etas, labels, float(k))
+    return TrainingSet(matrices, positions, radii, labels, float(k))
+
+
+def check_wavelength(trunk: RbfTrunk, k: float, what: str = "far field") -> None:
+    """Refuse data at wavenumber k for a trunk built at another wavelength."""
+    wavelength = 2.0 * np.pi / k
+    if abs(wavelength - trunk.lam) > 1e-6 * trunk.lam:
+        raise ValueError(f"{what} at wavelength {wavelength:.6g} fed to a "
+                         f"model built for {trunk.lam:.6g}")
 
 
 def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
@@ -237,8 +229,10 @@ def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
     at the trunk centers and the binary labels, averaged over both the
     batch and the centers.  Minibatches are drawn by a seeded shuffle each
     epoch, the learning rate follows a half-cosine over all steps, and a
-    non-finite loss aborts with the failing epoch in the message.
+    non-finite loss aborts with the failing epoch in the message.  A
+    corpus at another wavelength than the trunk's raises ValueError.
     """
+    check_wavelength(model.trunk, training_set.k, "training set")
     if training_set.labels.shape[1] != model.trunk.p_h:
         raise ValueError("training labels do not match the trunk size")
     if training_set.matrices.shape[1:] != (model.m0, model.n0):
@@ -299,10 +293,7 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
     n_h x n_h coefficient grid: 2 res n_h exponentials instead of one per
     point and center.
     """
-    wavelength = 2.0 * np.pi / farfield.k
-    if abs(wavelength - model.trunk.lam) > 1e-6 * model.trunk.lam:
-        raise ValueError(f"far field at wavelength {wavelength:.6g} fed to a "
-                         f"model trained for {model.trunk.lam:.6g}")
+    check_wavelength(model.trunk, farfield.k)
     native = fourier_resample(farfield, model.m0, model.n0)
     coefficients = nn.forward(model.branch, branch_features(native))
     trunk = model.trunk
@@ -352,8 +343,7 @@ def save_training_set(path, training_set: TrainingSet) -> None:
     archive.write(path, MAGIC_DATASET, "4Id",
                   (count, m0, n0, training_set.labels.shape[1], training_set.k),
                   [(training_set.matrices, "<c16"), (training_set.centers, "<f8"),
-                   (training_set.radii, "<f8"), (training_set.etas, "<f8"),
-                   (training_set.labels, np.uint8)])
+                   (training_set.radii, "<f8"), (training_set.labels, np.uint8)])
 
 
 def load_training_set(path) -> TrainingSet:
@@ -361,7 +351,6 @@ def load_training_set(path) -> TrainingSet:
         count, m0, n0, p_h, k = reader.header("4Id")
         return TrainingSet(reader.array("<c16", (count, m0, n0)),
                            reader.array("<f8", (count, 2)),
-                           reader.array("<f8", (count,)),
                            reader.array("<f8", (count,)),
                            reader.array(np.uint8, (count, p_h)), k)
 

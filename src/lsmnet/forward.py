@@ -77,12 +77,9 @@ class NoiseRealization:
     delta: float
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; accepts a FarFieldMatrix or plain array."""
-    entries = a.entries if isinstance(a, FarFieldMatrix) else np.asarray(a)
-    if entries.size == 0:
-        return 0.0
-    return float(np.linalg.svd(entries, compute_uv=False)[0])
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a nonempty matrix."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 # Disks per block of disk_farfields: about this many matrix entries (72

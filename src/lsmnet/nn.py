@@ -50,10 +50,6 @@ class Mlp:
                 raise ValueError(f"layer {l} parameter shapes do not match sizes")
         self.sizes = sizes
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_mlp(sizes, activation: str, output: str, seed: int) -> Mlp:
     """Glorot-uniform weights, zero biases, drawn layer by layer from seed."""

@@ -146,17 +146,14 @@ def branch_ntk(branch: Mlp, inputs: np.ndarray) -> np.ndarray:
     return gram
 
 
-def deeponet_ntk(trunk: RbfTrunk, branch: Mlp, inputs: np.ndarray,
-                 gram: np.ndarray | None = None) -> np.ndarray:
+def deeponet_ntk(trunk: RbfTrunk, branch: Mlp,
+                 inputs: np.ndarray) -> np.ndarray:
     """Tangent kernel of the composite indicator at the trunk centers.
 
     Applies the congruence K_block = P^T G_block P block by block; the
-    Kronecker factor is never formed.  `gram` substitutes a different
-    p x p matrix for the trunk evaluations, which is only useful as a
-    diagnostic (the identity turns K into the branch kernel verbatim).
+    Kronecker factor is never formed.
     """
-    trunk_matrix = trunk_gram(trunk) if gram is None else \
-        np.asarray(gram, dtype=float)
+    trunk_matrix = trunk_gram(trunk)
     outputs = branch.sizes[-1]
     if trunk_matrix.shape != (outputs, outputs):
         raise ValueError(f"trunk matrix {trunk_matrix.shape} does not match "

@@ -25,8 +25,7 @@ def _rds1(path):
     corpus = TrainingSet(
         rng.standard_normal((count, m0, n0)) + 1j * rng.standard_normal((count, m0, n0)),
         rng.uniform(-1.0, 1.0, (count, 2)), rng.uniform(0.5, 1.5, count),
-        rng.uniform(0.0, 0.1, count), rng.integers(0, 2, (count, p_h), dtype=np.uint8),
-        K)
+        rng.integers(0, 2, (count, p_h), dtype=np.uint8), K)
     deeponet.save_training_set(path, corpus)
     return corpus
 
@@ -231,8 +230,7 @@ def test_rds1_layout(tmp_path):
     blob = path.read_bytes()
     assert struct.unpack_from("<4s4Id", blob) == (b"RDS1", 3, 4, 5, 9, K)
     _check_arrays(blob, 28, [("<c16", corpus.matrices), ("<f8", corpus.centers),
-                             ("<f8", corpus.radii), ("<f8", corpus.etas),
-                             ("u1", corpus.labels)])
+                             ("<f8", corpus.radii), ("u1", corpus.labels)])
 
 
 def test_nnet_layout(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -29,7 +30,6 @@ def _tiny_config(out_dir: Path) -> RunConfig:
         trunk_h=1.0,
         deeponet_epochs=2, noisenet_epochs=4, noise_count=10,
         raw_m=16, raw_n=16, nystrom_q=32,
-        benchmark_sizes=(6, 9), benchmark_repeats=2,
         out_dir=str(out_dir),
         obstacles=(Kite(center=(0.0, 0.0), scale=0.8),),
     )
@@ -73,7 +73,7 @@ class TestConfigFile:
     def test_round_trip_preserves_everything(self, tmp_path):
         config = dataclasses.replace(
             default_config(),
-            k=3.7, coupled_decay=True, benchmark_sizes=(5, 25),
+            lam=0.5, coupled_decay=True,
             obstacles=(Disk(center=(0.1, -0.2), radius=0.7),
                        Ellipse(center=(1.0, 1.0), semi_axis_a=0.9,
                                semi_axis_b=0.4, rotation=0.3),
@@ -93,14 +93,25 @@ class TestConfigFile:
         assert config.obstacles == (Disk(center=(0.0, 0.0), radius=1.0),)
 
     def test_unknown_key_is_named(self, tmp_path):
+        # k follows lam, and the benchmark's sizes and repeats are not
+        # settings: each is an unknown key.
         path = tmp_path / "cfg.txt"
-        path.write_text("colour = red\n")
-        with pytest.raises(ValueError, match="colour"):
-            parse_config(path)
+        for line in ("colour = red", "k = 6.0", "benchmark_sizes = 5,25",
+                     "benchmark_repeats = 2"):
+            path.write_text(line + "\n")
+            key = line.split(" = ")[0]
+            with pytest.raises(ValueError, match=f"unknown configuration key '{key}'"):
+                parse_config(path)
+
+    def test_wavenumber_follows_the_wavelength(self):
+        assert default_config().k == 2.0 * math.pi
+        for lam in (1.0, 0.5, 0.3, 1.7):
+            config = dataclasses.replace(default_config(), lam=lam)
+            assert config.k == 2.0 * math.pi / lam
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("k = 6.0\njust words\n")
+        path.write_text("lam = 1.0\njust words\n")
         with pytest.raises(ValueError, match=":2:"):
             parse_config(path)
 
@@ -163,7 +174,7 @@ class TestSingleRead:
     @pytest.mark.parametrize("key", ["threads", "seed", "obstacle.0.radius"])
     def test_repeated_key_names_both_lines(self, key, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text(f"k = 6.0\n{key} = 1\n# between\n{key} = 2\n")
+        path.write_text(f"lam = 1.0\n{key} = 1\n# between\n{key} = 2\n")
         message = f"cfg.txt:4: configuration key '{key}' repeats line 2"
         with pytest.raises(ValueError, match=message):
             parse_config(path)
@@ -306,6 +317,29 @@ class TestPipeline:
         with pytest.raises(ValueError, match="must be nonnegative"):
             command(dataclasses.replace(config, eta=-0.1))
 
+    @pytest.mark.parametrize("command", [cli.cmd_reconstruct,
+                                         cli.cmd_benchmark],
+                             ids=["reconstruct", "benchmark"])
+    def test_model_at_another_wavelength_is_refused_first(self, pipeline,
+                                                          command, tmp_path):
+        config, _, out, _, _ = pipeline
+        other = dataclasses.replace(config, lam=0.5, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match=r"far field at wavelength 0\.5 "
+                                             r"fed to a model built for 1\b"):
+            command(other, deeponet_path=out / "deeponet_model.bin",
+                    noisenet_path=out / "noisenet_model.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_then_train_at_another_wavelength_is_refused(self, pipeline,
+                                                              tmp_path):
+        config, _, out, _, _ = pipeline
+        shutil.copy(out / "deeponet_dataset.bin", tmp_path)
+        other = dataclasses.replace(config, lam=0.5, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="training set at wavelength 1 "):
+            cli.cmd_train(other, "deeponet")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["deeponet_dataset.bin"]
+
     def test_train_requires_generated_data(self, pipeline, tmp_path):
         config, _, _, _, _ = pipeline
         empty = dataclasses.replace(config, out_dir=str(tmp_path / "fresh"))
@@ -331,6 +365,21 @@ class TestNoiseEval:
 
 
 class TestNtkCommand:
+    def test_outputs_do_not_depend_on_the_configured_wavelength(
+            self, pipeline, tmp_path):
+        """The diagnostic uses its own unit-wavelength trunk and far field."""
+        config, _, _, _, _ = pipeline
+        digests = []
+        for lam in (1.0, 0.5):
+            out = tmp_path / f"lam{lam}"
+            cli.cmd_ntk(dataclasses.replace(config, lam=lam, out_dir=str(out)),
+                        s_values=(0.5, 0.2))
+            digests.append({name: digest for name, digest
+                            in _hash_tree(out).items()
+                            if name.startswith("ntk_")})
+        assert len(digests[0]) == 5
+        assert digests[0] == digests[1]
+
     def test_spectra_and_sweep(self, pipeline):
         config, _, out, _, _ = pipeline
         cli.cmd_ntk(config, s_values=(0.5, 0.2))
@@ -348,11 +397,14 @@ class TestNtkCommand:
 
 class TestBenchmarkCommand:
     def test_csv_layout(self, pipeline):
-        config, config_path, out, _, _ = pipeline
-        assert main(["benchmark", "--config", str(config_path)]) == 0
+        _, config_path, out, _, _ = pipeline
+        assert main(["benchmark", "--config", str(config_path),
+                     "--sizes", "6,9"]) == 0
         lines = (out / "benchmark.csv").read_text().splitlines()
         assert lines[0] == "grid,morozov_seconds,learned_seconds,speedup"
-        assert len(lines) == 1 + len(config.benchmark_sizes)
+        assert [line.split(",")[0] for line in lines[1:]] == ["6", "9"]
+        meta = (out / "run_meta_benchmark.txt").read_text().splitlines()
+        assert f"repeats = {cli.BENCHMARK_REPEATS}" in meta
         for line in lines[1:]:
             grid, tm, tl, speedup = line.split(",")
             assert float(tm) > 0.0 and float(tl) > 0.0

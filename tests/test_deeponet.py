@@ -35,7 +35,7 @@ from lsmnet.regsolve import SamplingGrid, tensor_points
 K = 2.0 * np.pi
 
 
-def per_disk_training_set(trunk, k, m0, n0, seed, radius_range, noise_eta_range=None):
+def per_disk_training_set(trunk, k, m0, n0, seed, radius_range):
     """Oracle: the corpus generated one disk at a time, as before batching.
 
     Same draws in the same order; each matrix is the scalar series, each
@@ -46,18 +46,10 @@ def per_disk_training_set(trunk, k, m0, n0, seed, radius_range, noise_eta_range=
     positions = tensor_points(np.linspace(-halfwidth, halfwidth, 4 * trunk.n_h))
     count = positions.shape[0]
     radii = rng.uniform(*radius_range, size=count)
-    if noise_eta_range is not None:
-        etas = np.exp(rng.uniform(np.log(noise_eta_range[0]),
-                                  np.log(noise_eta_range[1]), size=count))
-        seeds = rng.integers(0, 2 ** 63, size=count)
     matrices = np.empty((count, m0, n0), dtype=complex)
     labels = np.empty((count, trunk.p_h), dtype=np.uint8)
     for i in range(count):
-        farfield = FarFieldMatrix(
-            scalar_disk_farfield(positions[i], radii[i], k, m0, n0), k)
-        if noise_eta_range is not None:
-            farfield, _ = add_noise(farfield, etas[i], int(seeds[i]))
-        matrices[i] = farfield.entries
+        matrices[i] = scalar_disk_farfield(positions[i], radii[i], k, m0, n0)
         inside = np.linalg.norm(trunk.centers - positions[i], axis=1) <= radii[i]
         labels[i] = inside.astype(np.uint8)
     return positions, radii, matrices, labels
@@ -214,17 +206,16 @@ class TestCorpus:
         want = disk_farfield(corpus.centers[i], corpus.radii[i], K, 6, 6)
         np.testing.assert_array_equal(corpus.matrices[i], want.entries)
 
-    @pytest.mark.parametrize("noise", [None, (0.01, 0.2)])
-    def test_blocks_match_the_per_disk_oracle(self, monkeypatch, noise):
+    def test_blocks_match_the_per_disk_oracle(self, monkeypatch):
         # 144 disks in blocks of 20 (7 x 6 x 20 entries) and label blocks
         # of 25: both leave a partial last block.
         monkeypatch.setattr(forward, "_BLOCK_ENTRIES", 20 * 7 * 6)
         monkeypatch.setattr(deeponet, "_LABEL_BLOCK", 25)
         trunk = _tiny_trunk()
         corpus = gen_training_set(trunk, K, 7, 6, seed=3,
-                                  radius_range=(0.2, 2.5), noise_eta_range=noise)
+                                  radius_range=(0.2, 2.5))
         positions, radii, matrices, labels = per_disk_training_set(
-            trunk, K, 7, 6, 3, (0.2, 2.5), noise)
+            trunk, K, 7, 6, 3, (0.2, 2.5))
         np.testing.assert_array_equal(corpus.centers, positions)
         np.testing.assert_array_equal(corpus.radii, radii)
         np.testing.assert_array_equal(corpus.matrices, matrices)
@@ -232,9 +223,9 @@ class TestCorpus:
 
     def test_labels_do_not_depend_on_the_bessel_kernels(self, request):
         trunk = _tiny_trunk()
-        got = gen_training_set(trunk, K, 8, 8, seed=2, noise_eta_range=(0.01, 0.2))
+        got = gen_training_set(trunk, K, 8, 8, seed=2)
         request.getfixturevalue("general_order_bessel")
-        want = gen_training_set(trunk, K, 8, 8, seed=2, noise_eta_range=(0.01, 0.2))
+        want = gen_training_set(trunk, K, 8, 8, seed=2)
         assert got.labels.tobytes() == want.labels.tobytes()
         gap = np.max(np.abs(got.matrices - want.matrices), axis=(1, 2))
         assert np.all(gap <= 1e-14 * np.max(np.abs(want.matrices), axis=(1, 2)))
@@ -249,37 +240,30 @@ class TestCorpus:
         assert not np.array_equal(a.radii, c.radii)
 
     def test_radius_range_and_noise(self):
+        # radii stay in the range, and the corpus is noise-free
         trunk = _tiny_trunk()
         plain = gen_training_set(trunk, K, 4, 4, seed=1,
                                  radius_range=(0.4, 0.6))
         assert np.all((plain.radii >= 0.4) & (plain.radii <= 0.6))
-        assert np.all(plain.etas == 0.0)
-        noisy = gen_training_set(trunk, K, 4, 4, seed=1,
-                                 radius_range=(0.4, 0.6),
-                                 noise_eta_range=(0.01, 0.1))
-        assert np.all((noisy.etas >= 0.01) & (noisy.etas <= 0.1))
-        # same master seed, same geometry: only the entries move
-        np.testing.assert_array_equal(noisy.radii, plain.radii)
-        assert not np.array_equal(noisy.matrices, plain.matrices)
+        np.testing.assert_array_equal(
+            plain.matrices, forward.disk_farfields(plain.centers, plain.radii, K, 4, 4))
 
     def test_validation(self):
         trunk = _tiny_trunk()
         with pytest.raises(ValueError):
             gen_training_set(trunk, K, 4, 4, seed=0, radius_range=(0.5, 0.1))
-        with pytest.raises(ValueError):
-            gen_training_set(trunk, K, 4, 4, seed=0, noise_eta_range=(0.0, 0.1))
         with pytest.raises(ValueError, match="sample count"):
             TrainingSet(np.zeros((2, 4, 4), dtype=complex), np.zeros((3, 2)),
-                        np.ones(2), np.zeros(2), np.zeros((2, 9), dtype=np.uint8), K)
+                        np.ones(2), np.zeros((2, 9), dtype=np.uint8), K)
         with pytest.raises(ValueError, match="binary"):
             TrainingSet(np.zeros((1, 4, 4), dtype=complex), np.zeros((1, 2)),
-                        np.ones(1), np.zeros(1), 2 * np.ones((1, 9), dtype=np.uint8), K)
+                        np.ones(1), 2 * np.ones((1, 9), dtype=np.uint8), K)
 
     @pytest.mark.parametrize("k", [-K, 0.0, np.nan, np.inf])
     def test_rejects_bad_wavenumber(self, k):
         with pytest.raises(ValueError, match="wavenumber"):
             TrainingSet(np.zeros((1, 4, 4), dtype=complex), np.zeros((1, 2)),
-                        np.ones(1), np.zeros(1), np.zeros((1, 9), dtype=np.uint8), k)
+                        np.ones(1), np.zeros((1, 9), dtype=np.uint8), k)
 
 
 class TestTraining:
@@ -356,6 +340,10 @@ class TestTraining:
         mismatched = make_deeponet(other, 6, 6, seed=0)
         with pytest.raises(ValueError, match="trunk"):
             train_deeponet(mismatched, corpus, seed=0, epochs=1)
+        half_wave = make_deeponet(make_trunk(0.5, 2.0, 1.0, 0.3), 6, 6, seed=0)
+        assert half_wave.trunk.p_h == trunk.p_h
+        with pytest.raises(ValueError, match=r"training set at wavelength 1 .* for 0\.5"):
+            train_deeponet(half_wave, corpus, seed=0, epochs=1)
         with pytest.raises(ValueError):
             train_deeponet(model, corpus, seed=0, epochs=-1)
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ class TestInit:
         assert mlp.weights[0].shape == (4, 7)
         assert mlp.weights[1].shape == (7, 2)
         assert mlp.biases[1].shape == (2,)
-        assert mlp.parameter_count == 4 * 7 + 7 + 7 * 2 + 2
+        assert sum(p.size for p in parameters(mlp)) == 4 * 7 + 7 + 7 * 2 + 2
 
     def test_seed_determinism(self):
         a = init_mlp((3, 5, 1), "relu", "identity", seed=9)

@@ -101,19 +101,11 @@ class TestCompositeKernel:
         scale = np.max(np.abs(want))
         assert np.max(np.abs(kernel - want)) <= 1e-12 * scale
 
-    def test_identity_gram_recovers_branch_kernel(self):
-        trunk = make_trunk(1.0, 1.0, 1.0, 0.3)
-        branch = nn.init_mlp((6, 7, trunk.p_h), "tanh", "identity", seed=8)
-        inputs = np.random.default_rng(10).normal(size=(2, 6))
-        via_identity = deeponet_ntk(trunk, branch, inputs,
-                                    gram=np.eye(trunk.p_h))
-        np.testing.assert_array_equal(via_identity, branch_ntk(branch, inputs))
-
     def test_gram_width_validation(self):
-        trunk = make_trunk(1.0, 1.0, 1.0, 0.3)
-        branch = nn.init_mlp((6, 7, trunk.p_h), "tanh", "identity", seed=8)
+        trunk = make_trunk(1.0, 1.0, 1.0, 0.3)  # p = 9
+        branch = nn.init_mlp((6, 7, 4), "tanh", "identity", seed=8)
         with pytest.raises(ValueError, match="output width"):
-            deeponet_ntk(trunk, branch, np.zeros((1, 6)), gram=np.eye(4))
+            deeponet_ntk(trunk, branch, np.zeros((1, 6)))
 
 
 class TestTrunkGram:
