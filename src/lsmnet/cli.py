@@ -402,6 +402,7 @@ def cmd_train(config: RunConfig, which: str) -> None:
     elif which == "noisenet":
         dataset = noisenet.load_noise_dataset(
             _input(config, "noise_dataset.bin"))
+        deeponet.check_wavelength(config.lam, dataset.k, "noise corpus")
         net = noisenet.make_noisenet(config.m0, config.n0,
                                      seed=config.seed)
         started = time.perf_counter()
@@ -430,7 +431,7 @@ def _load_models(config: RunConfig, deeponet_path, noisenet_path,
 
     model = deeponet.load_deeponet(
         _input(config, "deeponet_model.bin", deeponet_path))
-    deeponet.check_wavelength(model.trunk, config.k)
+    deeponet.check_wavelength(model.trunk.lam, config.k)
     noise_model = noisenet.load_noisenet(
         _input(config, "noisenet_model.bin", noisenet_path)) \
         if need_noise else None
@@ -466,6 +467,8 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
     for name in chosen:
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
+    if "morozov" in chosen and config.eta == 0.0:
+        raise ValueError("discrepancy matching needs eta > 0")
 
     out = _outdir(config)
     scene = _scene(config)
@@ -496,8 +499,6 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
             predicted = values >= 0.5
         else:
             if name == "morozov":
-                if delta <= 0.0:
-                    raise ValueError("discrepancy matching needs eta > 0")
                 strategy = regsolve.Morozov(delta)
             elif name == "constant":
                 strategy = regsolve.Constant(svdt.s[0] / 100.0)
@@ -600,12 +601,13 @@ def cmd_noise_eval(config: RunConfig, noisenet_path=None) -> None:
 def cmd_ntk(config: RunConfig, s_values=None) -> None:
     """Tangent-kernel spectra of an untrained operator network.
 
-    Builds the fixed 11 x 11 trunk (121 outputs), a fresh branch, and a
-    single-sample batch from one clean centered-disk far field, then for
-    each overlap writes the three spectra and a verdict summary, plus a
-    sweep table of trunk condition numbers.
+    Builds the fixed 11 x 11 trunk (121 outputs), the operator network's
+    fresh branch in its identity-output form, and a single-sample batch
+    from one clean centered-disk far field, then for each overlap writes
+    the three spectra and a verdict summary, plus a sweep table of trunk
+    condition numbers.
     """
-    from . import deeponet, forward, nn, ntk
+    from . import deeponet, forward, ntk
 
     out = _outdir(config)
     sweep = tuple(sorted(s_values)) if s_values else DEFAULT_NTK_SWEEP
@@ -617,8 +619,9 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
                                      2.0 * math.pi / _NTK_LAM,
                                      config.m0, config.n0)
     features = deeponet.branch_features(farfield)
-    branch = nn.init_mlp((features.size, 3 * outputs, outputs), "tanh",
-                         "identity", seed=config.seed)
+    branch = replace(deeponet.make_deeponet(template, config.m0, config.n0,
+                                            config.seed).branch,
+                     output="identity")
 
     gram = ntk.branch_ntk(branch, features)
     verdicts = []

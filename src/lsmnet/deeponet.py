@@ -39,7 +39,6 @@ S_MIN = math.exp(-2.0)
 ALPHA_FLOOR_REL = 1e-8
 
 _HIDDEN_FACTOR = 3
-_SAMPLES_PER_CENTER = 16
 _POSITION_REFINEMENT = 4
 # Disks per broadcast of the label test.
 _LABEL_BLOCK = 256
@@ -211,12 +210,12 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     return TrainingSet(matrices, positions, radii, labels, float(k))
 
 
-def check_wavelength(trunk: RbfTrunk, k: float, what: str = "far field") -> None:
-    """Refuse data at wavenumber k for a trunk built at another wavelength."""
+def check_wavelength(lam: float, k: float, what: str = "far field") -> None:
+    """Refuse data at wavenumber k for a model built at wavelength lam."""
     wavelength = 2.0 * np.pi / k
-    if abs(wavelength - trunk.lam) > 1e-6 * trunk.lam:
+    if abs(wavelength - lam) > 1e-6 * lam:
         raise ValueError(f"{what} at wavelength {wavelength:.6g} fed to a "
-                         f"model built for {trunk.lam:.6g}")
+                         f"model built for {lam:.6g}")
 
 
 def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
@@ -232,7 +231,7 @@ def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
     non-finite loss aborts with the failing epoch in the message.  A
     corpus at another wavelength than the trunk's raises ValueError.
     """
-    check_wavelength(model.trunk, training_set.k, "training set")
+    check_wavelength(model.trunk.lam, training_set.k, "training set")
     if training_set.labels.shape[1] != model.trunk.p_h:
         raise ValueError("training labels do not match the trunk size")
     if training_set.matrices.shape[1:] != (model.m0, model.n0):
@@ -293,7 +292,7 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
     n_h x n_h coefficient grid: 2 res n_h exponentials instead of one per
     point and center.
     """
-    check_wavelength(model.trunk, farfield.k)
+    check_wavelength(model.trunk.lam, farfield.k)
     native = fourier_resample(farfield, model.m0, model.n0)
     coefficients = nn.forward(model.branch, branch_features(native))
     trunk = model.trunk

@@ -3,13 +3,16 @@
 The indicator network is linear in the trunk matrix: the prediction at
 the trunk centers is P g(F) with g the branch output, so the tangent
 kernel of the composite factors as K = P^T G P where G is the tangent
-kernel of the branch alone.  Both factors are assembled here exactly.
-G comes from per-sample Jacobians, and the Jacobian rows never need to
-be flattened: a backward pass stores the weight gradient of layer l as
-the outer product a_{l-1} x delta_l, so the inner product of two
-parameter gradients collapses to sum_l (<a, a'> + 1) <delta, delta'>
-with the +1 contributed by the bias.  Only the per-layer activation
-vectors and the per-output bias gradients are kept.
+kernel of the branch alone.  Both factors are assembled here exactly,
+for the whole batch at once.  The gradient of output o with respect to
+a layer's weights is the outer product a x J[o] of the layer's input
+and the Jacobian of the outputs with respect to the layer's affine
+output, so the inner product of two parameter gradients collapses to
+sum_l (<a, a'> + 1) <J[o], J'[o']> with the +1 contributed by the bias.
+J starts as the identity at the last layer and is carried down by one
+product with W^T and the activation slope per layer, for all outputs
+and samples together; each layer then adds one (N*p) x (N*p) product,
+scaled blockwise by the input products.
 
 The interesting dial is the trunk overlap s: the spectrum bounds
 lambda_min(G) sigma_min(P)^2 <= lambda(K) <= lambda_max(G) sigma_max(P)^2
@@ -79,31 +82,6 @@ def trunk_gram(trunk: RbfTrunk) -> np.ndarray:
     return trunk_eval(trunk, trunk.centers)
 
 
-def _batched(inputs: np.ndarray, width: int) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
-    if inputs.ndim != 2 or inputs.shape[1] != width:
-        raise ValueError(
-            f"inputs of shape {inputs.shape} do not match input width {width}")
-    return inputs
-
-
-def _sample_factors(network: Mlp, row: np.ndarray):
-    """Activation vectors and per-output bias gradients for one input."""
-    outputs = network.sizes[-1]
-    trace = nn.forward_trace(network, row)
-    acts = [layer_input[0] for layer_input in trace[1][:-1]]
-    deltas = [np.empty((outputs, width)) for width in network.sizes[1:]]
-    one_hot = np.eye(outputs)
-    for o in range(outputs):
-        _, bias_grads, _ = nn.backward(network, row, one_hot[o], trace=trace,
-                                       input_grad=False)
-        for store, grad in zip(deltas, bias_grads):
-            store[o] = grad
-    return acts, deltas
-
-
 def branch_ntk(branch: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Parameter-gradient Gram matrix of the branch over a small batch.
 
@@ -118,31 +96,32 @@ def branch_ntk(branch: Mlp, inputs: np.ndarray) -> np.ndarray:
     if branch.output != "identity":
         raise ValueError("tangent kernel is defined for an identity output; "
                          f"got {branch.output!r}")
-    inputs = _batched(inputs, branch.sizes[0])
-    count = inputs.shape[0]
-    outputs = branch.sizes[-1]
+    batch, _ = nn._as_batch(inputs, branch.sizes[0])
+    count, outputs = batch.shape[0], branch.sizes[-1]
     if count * outputs > GRAM_GUARD:
         raise ValueError(
             f"batch {count} x outputs {outputs} exceeds the assembly cap "
             f"{GRAM_GUARD}; this is a diagnostic for small instances")
 
-    factors = [_sample_factors(branch, inputs[i]) for i in range(count)]
-
-    gram = np.empty((count * outputs, count * outputs))
-    layers = len(branch.weights)
-    for i in range(count):
-        acts_i, deltas_i = factors[i]
-        for j in range(i, count):
-            acts_j, deltas_j = factors[j]
-            block = np.zeros((outputs, outputs))
-            for l in range(layers):
-                weight_factor = float(acts_i[l] @ acts_j[l]) + 1.0
-                block += weight_factor * (deltas_i[l] @ deltas_j[l].T)
-            gram[i * outputs:(i + 1) * outputs,
-                 j * outputs:(j + 1) * outputs] = block
-            if j != i:
-                gram[j * outputs:(j + 1) * outputs,
-                     i * outputs:(i + 1) * outputs] = block.T
+    pre, act = nn.forward_trace(branch, batch)
+    last = len(branch.weights) - 1
+    # Row i*p + o: output o's Jacobian at sample i with respect to the
+    # affine output of layer l.
+    jac = np.tile(np.eye(outputs), (count, 1))
+    for l in range(last, -1, -1):
+        if l < last:
+            slope = nn._activate_grad(branch.activation, pre[l], act[l + 1])
+            jac = (jac @ branch.weights[l + 1].T).reshape(count, outputs, -1)
+            jac = (jac * slope[:, None, :]).reshape(count * outputs, -1)
+        term = jac @ jac.T
+        blocks = term.reshape(count, outputs, count, outputs)
+        blocks *= (act[l] @ act[l].T + 1.0)[:, None, :, None]
+        if l == last:
+            gram = term
+        else:
+            gram += term
+        # Only the kernel itself stays alive between layers.
+        del term, blocks
     return gram
 
 
@@ -150,24 +129,20 @@ def deeponet_ntk(trunk: RbfTrunk, branch: Mlp,
                  inputs: np.ndarray) -> np.ndarray:
     """Tangent kernel of the composite indicator at the trunk centers.
 
-    Applies the congruence K_block = P^T G_block P block by block; the
-    Kronecker factor is never formed.
+    Applies the congruence K_block = P^T G_block P as one product over
+    whole block rows and one over whole block columns, the second
+    written over the branch kernel; the Kronecker factor is never formed.
     """
     trunk_matrix = trunk_gram(trunk)
     outputs = branch.sizes[-1]
     if trunk_matrix.shape != (outputs, outputs):
         raise ValueError(f"trunk matrix {trunk_matrix.shape} does not match "
                          f"branch output width {outputs}")
-    branch_kernel = branch_ntk(branch, inputs)
-    count = branch_kernel.shape[0] // outputs
-    kernel = np.empty_like(branch_kernel)
-    for i in range(count):
-        for j in range(count):
-            block = branch_kernel[i * outputs:(i + 1) * outputs,
-                                  j * outputs:(j + 1) * outputs]
-            kernel[i * outputs:(i + 1) * outputs,
-                   j * outputs:(j + 1) * outputs] = \
-                trunk_matrix.T @ block @ trunk_matrix
+    kernel = branch_ntk(branch, inputs)
+    count = kernel.shape[0] // outputs
+    rows = trunk_matrix.T @ kernel.reshape(count, outputs, -1)
+    np.matmul(rows.reshape(-1, outputs), trunk_matrix,
+              out=kernel.reshape(-1, outputs))
     return kernel
 
 

@@ -303,11 +303,13 @@ class TestPipeline:
         with pytest.raises(FileNotFoundError, match="train"):
             cli.cmd_reconstruct(empty, strategies=("learned",))
 
-    def test_clean_data_rejects_discrepancy_matching(self, pipeline):
+    def test_clean_data_rejects_discrepancy_matching(self, pipeline,
+                                                     tmp_path):
         config, _, _, _, _ = pipeline
-        clean = dataclasses.replace(config, eta=0.0)
+        clean = dataclasses.replace(config, eta=0.0, out_dir=str(tmp_path))
         with pytest.raises(ValueError, match="eta > 0"):
-            cli.cmd_reconstruct(clean, strategies=("morozov",))
+            cli.cmd_reconstruct(clean, strategies=("constant", "morozov"))
+        assert list(tmp_path.glob("indicator_*")) == []
 
     @pytest.mark.parametrize("command", [cli.cmd_reconstruct,
                                          cli.cmd_benchmark],
@@ -339,6 +341,17 @@ class TestPipeline:
             cli.cmd_train(other, "deeponet")
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["deeponet_dataset.bin"]
+
+    def test_noise_corpus_at_another_wavelength_is_refused(self, pipeline,
+                                                           tmp_path):
+        config, _, out, _, _ = pipeline
+        shutil.copy(out / "noise_dataset.bin", tmp_path)
+        other = dataclasses.replace(config, lam=0.5, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match=r"noise corpus at wavelength 1 "
+                                             r"fed to a model built for 0\.5"):
+            cli.cmd_train(other, "noisenet")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["noise_dataset.bin"]
 
     def test_train_requires_generated_data(self, pipeline, tmp_path):
         config, _, _, _, _ = pipeline

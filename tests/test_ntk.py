@@ -43,6 +43,17 @@ class TestBranchKernel:
         scale = np.max(np.abs(brute))
         assert np.max(np.abs(fast - brute)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_flattened_jacobians_through_hidden_layers(
+            self, activation):
+        """Three hidden layers carry the Jacobian through every slope."""
+        branch = nn.init_mlp((6, 7, 5, 6, 4), activation, "identity", seed=14)
+        inputs = np.random.default_rng(15).normal(size=(4, 6))
+        fast = branch_ntk(branch, inputs)
+        brute = _brute_gram(branch, inputs)
+        scale = np.max(np.abs(brute))
+        assert np.max(np.abs(fast - brute)) <= 1e-10 * scale
+
     def test_single_affine_layer_closed_form(self):
         """One affine layer has gradient x (x) e_o plus the bias e_o, so
         the kernel is exactly (x_i . x_j + 1) on the block diagonal."""
