@@ -8,14 +8,14 @@ factors applied to projected right-hand sides.
 
 The regularization parameter comes from a strategy object: a discrepancy
 match against a known perturbation norm, a fixed constant, or a
-precomputed spatial field.  The discrepancy root is found in log alpha on
-a bracket spanning 22 decades around the top singular value, which is
-wide enough that a missing sign change signals a genuinely rootless
-instance rather than a bad bracket.  The finder is Chandrupatla's
-bracketed hybrid (Adv. Eng. Softw. 28, 1997), vectorized over points:
-each step takes an inverse-quadratic guess where it is safe and halves
-the bracket otherwise, so the root stays bracketed as under bisection
-and converges to rounding in about 15 steps.
+precomputed spatial field.  The discrepancy's out-of-range energy is
+read off the orthogonal complement of U, empty for square data.  Its
+root is found in log alpha, on the spectral bracket described at
+ALPHA_BRACKET, by Chandrupatla's bracketed hybrid (Adv. Eng. Softw. 28,
+1997), vectorized over points: each step takes an inverse-quadratic
+guess where it is safe and halves the bracket otherwise, so the root
+stays bracketed as under bisection and converges to rounding in about
+11 steps.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import numpy as np
 
 from .forward import FarFieldMatrix
 
-# Bracket for the discrepancy root, relative to sigma_1^2, and the cap on
-# root-finder steps.  Each step keeps the sign change inside the bracket
-# and halves it where the inverse-quadratic guess is unsafe; points
-# converge to rounding in about 15 steps and stop there.  60 plain
-# halvings would resolve log alpha to ~5e-17, so the cap only bounds the
-# cost of a point that never settles.
+# Bracket for the discrepancy root, relative to sigma_1^2: 22 decades, on
+# which a missing sign change means a rootless instance.  Points without
+# out-of-range energy start on [delta s_r / 2, 2 delta s_1] clipped to it;
+# every discrepancy term is negative at the one end and positive at the
+# other, so each moved end has the sign the wide end has and the rootless
+# verdict is the wide bracket's.  60 plain halvings would resolve log
+# alpha to ~5e-17, so the step cap only bounds a point that never settles.
 ALPHA_BRACKET = (1e-16, 1e6)
 BISECT_ITERATIONS = 60
 
@@ -44,6 +45,11 @@ _CHUNK = 4096
 
 class NoRootError(ArithmeticError):
     """The discrepancy function has no sign change on the search bracket."""
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 def tensor_points(axis: np.ndarray) -> np.ndarray:
@@ -82,6 +88,12 @@ class SamplingGrid:
     def points(self) -> np.ndarray:
         return tensor_points(self.axis)
 
+    @cached_property
+    def csv_prefixes(self) -> list:
+        """`x,y,` of every point in grid order, as the CSV writer prints it."""
+        axis = [f"{a:.17g}," for a in self.axis.tolist()]
+        return [x + y for y in axis for x in axis]
+
 
 @dataclass(frozen=True)
 class SvdTriple:
@@ -102,6 +114,15 @@ class SvdTriple:
         if (np.max(np.abs(u.conj().T @ u - eye)) > 1e-10
                 or np.max(np.abs(vh @ vh.conj().T - eye)) > 1e-10):
             raise ValueError("SVD factors are not orthonormal")
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """U_perp: orthonormal columns spanning the complement of range(u)."""
+        return np.linalg.qr(self.u, mode="complete")[0][:, self.s.size:]
+
+    def outside(self, rhs: np.ndarray):
+        """||(I - U U^H) rhs||^2 per column, as ||U_perp^H rhs||^2."""
+        return np.linalg.norm(self.complement.conj().T @ rhs, axis=0) ** 2
 
 
 def svd(farfield) -> SvdTriple:
@@ -134,8 +155,7 @@ def _rhs_batch(points: np.ndarray, theta: np.ndarray, k: float) -> np.ndarray:
 
 def tikhonov_solve(svdt: SvdTriple, rhs: np.ndarray, alpha: float) -> np.ndarray:
     """Minimizer of ||F g - rhs||^2 + alpha ||g||^2 through filter factors."""
-    if alpha <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {alpha}")
+    _check_positive(alpha, "regularization parameter")
     beta = svdt.u.conj().T @ rhs
     factors = svdt.s / (svdt.s ** 2 + alpha)
     return svdt.vh.conj().T @ (factors * beta)
@@ -151,20 +171,17 @@ def discrepancy(svdt: SvdTriple, rhs: np.ndarray, alpha: float, delta: float) ->
         + ||(I - U U^H) rhs||^2.
 
     The function is strictly increasing in alpha, so it has at most one
-    root.  The out-of-range term is evaluated as an explicit residual:
-    the difference of norms cancels catastrophically when rhs is nearly
-    in range, and the leftover rounding shifts small roots.
+    root.  The out-of-range term is ||U_perp^H rhs||^2 over the complement
+    of U: unlike the difference of norms it cannot cancel when rhs is
+    nearly in range, and for square U it is exactly 0 at no cost.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {alpha}")
-    if delta < 0.0:
-        raise ValueError(f"perturbation norm must be nonnegative, got {delta}")
-    beta = svdt.u.conj().T @ rhs
-    beta2 = np.abs(beta) ** 2
-    outside = float(np.sum(np.abs(rhs - svdt.u @ beta) ** 2))
+    _check_positive(alpha, "regularization parameter")
+    if not (np.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"perturbation norm must be finite and nonnegative, got {delta}")
+    beta2 = np.abs(svdt.u.conj().T @ rhs) ** 2
     s2 = svdt.s ** 2
     terms = (alpha ** 2 - delta ** 2 * s2) / (s2 + alpha) ** 2
-    return float(terms @ beta2 + outside)
+    return float(terms @ beta2 + svdt.outside(rhs))
 
 
 def _discrepancies(alpha: np.ndarray, s2: np.ndarray, d2s2: np.ndarray,
@@ -179,7 +196,7 @@ def _root_alpha(s: np.ndarray, beta2: np.ndarray, outside: np.ndarray,
 
     beta2 is (r, P) with squared projections per point, outside is the
     (P,) out-of-range energy.  Returns the root array and a mask of
-    points without a sign change on the bracket.
+    points without a sign change on ALPHA_BRACKET (searched as described there).
 
     Chandrupatla's step keeps x1 (newest) and x2 on opposite sides of the
     root and x3 (the end just dropped).  The next abscissa is
@@ -192,9 +209,9 @@ def _root_alpha(s: np.ndarray, beta2: np.ndarray, outside: np.ndarray,
     """
     s2 = (s ** 2)[:, None]
     d2s2 = (delta ** 2) * s2
-    top = s[0] ** 2
-    lo = np.full(outside.shape, ALPHA_BRACKET[0] * top)
-    hi = np.full(outside.shape, ALPHA_BRACKET[1] * top)
+    wide = np.array(ALPHA_BRACKET)[:, None] * s[0] ** 2
+    spectral = np.clip(delta * np.array([[0.5 * s[-1]], [2.0 * s[0]]]), *wide)
+    lo, hi = np.where(outside > 0.0, wide, spectral)
     f1 = _discrepancies(lo, s2, d2s2, beta2, outside)
     f2 = _discrepancies(hi, s2, d2s2, beta2, outside)
     no_root = (f1 > 0.0) | (f2 < 0.0)
@@ -238,12 +255,9 @@ def morozov_alpha(svdt: SvdTriple, rhs: np.ndarray, delta: float) -> float:
     bracket, which happens when the perturbation norm is too small (or
     too large) relative to the data.
     """
-    if delta <= 0.0:
-        raise ValueError(f"perturbation norm must be positive, got {delta}")
-    beta = svdt.u.conj().T @ rhs
-    beta2 = np.abs(beta) ** 2
-    outside = np.array([float(np.sum(np.abs(rhs - svdt.u @ beta) ** 2))])
-    alpha, no_root = _root_alpha(svdt.s, beta2[:, None], outside, delta)
+    _check_positive(delta, "perturbation norm")
+    beta2 = np.abs(svdt.u.conj().T @ rhs[:, None]) ** 2
+    alpha, no_root = _root_alpha(svdt.s, beta2, svdt.outside(rhs[:, None]), delta)
     if no_root[0]:
         raise NoRootError(
             f"discrepancy has no root for delta = {delta:.6g} on bracket "
@@ -258,8 +272,7 @@ class Morozov:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"perturbation norm must be positive, got {self.delta}")
+        _check_positive(self.delta, "perturbation norm")
 
 
 @dataclass(frozen=True)
@@ -269,8 +282,7 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"regularization parameter must be positive, got {self.alpha}")
+        _check_positive(self.alpha, "regularization parameter")
 
 
 @dataclass(frozen=True)
@@ -359,13 +371,10 @@ def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
         start, stop = first * res, min(first + rows, res) * res
         rhs = (along_y[:, first:first + rows, None]
                * along_x[:, None, :]).reshape(-1, stop - start)
-        beta = svdt.u.conj().T @ rhs
-        beta2 = np.abs(beta) ** 2
+        beta2 = np.abs(svdt.u.conj().T @ rhs) ** 2
         if isinstance(strategy, Morozov):
-            # Residual form: the norm difference cancels to rounding noise
-            # when the data is square, shifting small discrepancy roots.
-            outside = np.sum(np.abs(rhs - svdt.u @ beta) ** 2, axis=0)
-            alpha, no_root = _root_alpha(s, beta2, outside, strategy.delta)
+            alpha, no_root = _root_alpha(s, beta2, svdt.outside(rhs),
+                                         strategy.delta)
             alpha[no_root] = strategy.delta * s[0]
             fallbacks += int(no_root.sum())
         elif isinstance(strategy, Constant):
@@ -402,10 +411,9 @@ def _grid_values(grid: SamplingGrid, values: np.ndarray) -> np.ndarray:
 def write_field_csv(path, grid: SamplingGrid, values: np.ndarray) -> None:
     """Raw field dump, one `x,y,value` row per grid point in grid order."""
     values = _grid_values(grid, values)
-    axis = [f"{a:.17g}," for a in grid.axis.tolist()]
     # Prefixes and values interleaved for one C-level format call.
     flat = [None] * (2 * values.size)
-    flat[::2] = [x + y for y in axis for x in axis]
+    flat[::2] = grid.csv_prefixes
     flat[1::2] = values.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,value\n" + ("%s%.17g\n" * values.size) % tuple(flat))

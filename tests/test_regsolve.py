@@ -29,6 +29,9 @@ from lsmnet.regsolve import (
 K = 2.0 * np.pi
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
 def _scalar_svd(sigma: float) -> SvdTriple:
     return SvdTriple(np.array([[1.0 + 0j]]), np.array([sigma]),
                      np.array([[1.0 + 0j]]))
@@ -133,6 +136,11 @@ class TestTikhonov:
         with pytest.raises(ValueError):
             tikhonov_solve(_scalar_svd(1.0), np.array([1.0 + 0j]), 0.0)
 
+    @pytest.mark.parametrize("alpha", NON_FINITE)
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match=f"finite and positive, got {alpha}"):
+            tikhonov_solve(_scalar_svd(1.0), np.array([1.0 + 0j]), alpha)
+
 
 class TestDiscrepancy:
     def test_scalar_oracles(self):
@@ -170,6 +178,15 @@ class TestDiscrepancy:
         with pytest.raises(ValueError):
             discrepancy(triple, rhs, 1.0, -0.1)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite_alpha_and_delta(self, value):
+        triple = _scalar_svd(1.0)
+        rhs = np.array([1.0 + 0j])
+        with pytest.raises(ValueError, match=f"regularization parameter .*got {value}"):
+            discrepancy(triple, rhs, value, 0.1)
+        with pytest.raises(ValueError, match=f"perturbation norm .*got {value}"):
+            discrepancy(triple, rhs, 1.0, value)
+
 
 class TestMorozov:
     def test_rank_one_root_is_delta_sigma(self):
@@ -196,6 +213,21 @@ class TestMorozov:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             morozov_alpha(_scalar_svd(1.0), np.array([1.0 + 0j]), 0.0)
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match=f"finite and positive, got {delta}"):
+            morozov_alpha(_scalar_svd(1.0), np.array([1.0 + 0j]), delta)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_strategies_reject_non_finite_values(self, value):
+        """A NaN delta used to give alpha = 1e-16 sigma_1^2 at every point
+        with no fallback counted; an infinite one failed only once the
+        indicator was built."""
+        with pytest.raises(ValueError, match=f"perturbation norm .*got {value}"):
+            Morozov(value)
+        with pytest.raises(ValueError, match=f"regularization parameter .*got {value}"):
+            Constant(value)
 
 
 # -- root-finder oracles -------------------------------------------------
@@ -241,6 +273,65 @@ def _find_root_oracle(s, beta2, outside, delta):
     result = find_root(disc, (low, high), args=(index,),
                        tolerances=dict(xatol=1e-15))
     return np.exp(result.x), result.success
+
+
+def _wide_bracket_oracle(s, beta2, outside, delta):
+    """The root finder as it was before the spectral bracket: the same
+    Chandrupatla steps, every point started on the whole ALPHA_BRACKET."""
+    s2 = (s ** 2)[:, None]
+    d2s2 = (delta ** 2) * s2
+
+    def disc(alpha):
+        return np.sum((alpha ** 2 - d2s2) / (s2 + alpha) ** 2 * beta2, axis=0) + outside
+
+    top = s[0] ** 2
+    f1 = disc(np.full(outside.shape, regsolve.ALPHA_BRACKET[0] * top))
+    f2 = disc(np.full(outside.shape, regsolve.ALPHA_BRACKET[1] * top))
+    no_root = (f1 > 0.0) | (f2 < 0.0)
+    x1 = np.full(outside.shape, np.log(regsolve.ALPHA_BRACKET[0] * top))
+    x2 = np.full(outside.shape, np.log(regsolve.ALPHA_BRACKET[1] * top))
+    t = np.full(outside.shape, 0.5)
+    active = ~no_root
+    for _ in range(60):
+        nearer = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(nearer, x1, x2), np.where(nearer, f1, f2)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(xm), 1.0)
+        active &= (np.abs(x2 - x1) >= tol) & (fm != 0.0)
+        if not active.any():
+            break
+        x = x1 + t * (x2 - x1)
+        f = disc(np.exp(x))
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same | ~active, x2, x1), np.where(same | ~active, f2, f1)
+        x1, f1 = np.where(active, x, x1), np.where(active, f, f1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            quadratic = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(quadratic,
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3),
+                         0.5)
+            tl = 0.5 * tol / np.abs(x2 - x1)
+        t = np.clip(t, tl, 1.0 - tl)
+    return np.exp(np.where(np.abs(f1) < np.abs(f2), x1, x2)), no_root
+
+
+def _residual_oracle_indicator(measured, grid, delta, svdt):
+    """Morozov alphas, indicators and fallbacks with the out-of-range
+    energy taken as the explicit residual ||rhs - U U^H rhs||^2 and the
+    root searched on the wide bracket."""
+    k, axis = measured.k, grid.axis
+    along_x = (np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
+               * np.exp(-1j * k * np.outer(np.cos(measured.theta), axis)))
+    along_y = np.exp(-1j * k * np.outer(np.sin(measured.theta), axis))
+    rhs = (along_y[:, :, None] * along_x[:, None, :]).reshape(len(measured.theta), -1)
+    beta2, outside = _projections(svdt, rhs)
+    alpha, no_root = _wide_bracket_oracle(svdt.s, beta2, outside, delta)
+    alpha[no_root] = delta * svdt.s[0]
+    gnorm2 = np.sum((svdt.s[:, None] / (svdt.s[:, None] ** 2 + alpha)) ** 2 * beta2, axis=0)
+    return alpha, 1.0 / np.sqrt(gnorm2), int(no_root.sum())
 
 
 def _projections(svdt, rhs):
@@ -397,6 +488,95 @@ class TestRootFinder:
         assert np.all(capped.alpha.alpha <= regsolve.ALPHA_BRACKET[1] * top)
 
 
+@pytest.fixture(scope="module", params=[(60, 40), (40, 60)], ids=["m>n", "m<n"])
+def kite_nonsquare(request):
+    """Default kite at 10 percent noise, measured on a non-square m x n
+    grid of angles; for m > n the range of U misses m - n directions."""
+    from lsmnet.geometry import Kite, Scene
+    from lsmnet.nystrom import nystrom_farfield
+
+    m, n = request.param
+    clean = nystrom_farfield(Scene((Kite((0.0, 0.0), 0.8),)), K, m, n)
+    noisy, realization = add_noise(clean, 0.1, seed=21)
+    return noisy, realization.delta, svd(noisy), SamplingGrid.make(4.0, 40)
+
+
+class TestOutOfRangeEnergy:
+    def test_complement_is_empty_for_square_data(self, kite_50):
+        noisy, _, svdt, grid = kite_50
+        assert svdt.complement.shape == (50, 0)
+        assert svdt.complement is svdt.complement          # derived once
+        rhs = phi_rhs(grid.points[7], noisy.theta, noisy.k)
+        assert svdt.outside(rhs) == 0.0
+
+    def test_complement_matches_explicit_residual(self, kite_nonsquare):
+        noisy, _, svdt, grid = kite_nonsquare
+        m, r = svdt.u.shape
+        perp = svdt.complement
+        assert perp.shape == (m, m - r)
+        basis = np.hstack([svdt.u, perp])
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(m), atol=1e-13)
+        rhs = np.column_stack([phi_rhs(z, noisy.theta, noisy.k)
+                               for z in grid.points[::97]])
+        _, residual = _projections(svdt, rhs)
+        scale = np.sum(np.abs(rhs) ** 2, axis=0)
+        assert np.all(np.abs(svdt.outside(rhs) - residual) <= 1e-14 * scale)
+
+    def test_morozov_matches_residual_oracle(self, kite_nonsquare):
+        """Alphas and indicators within 1e-14 of the explicit-residual,
+        wide-bracket solve, with the same fallbacks (none at the true
+        delta, some at 0.3 delta when m > n)."""
+        noisy, delta, svdt, grid = kite_nonsquare
+        for scale in (1.0, 0.3):
+            result = lsm_indicator(noisy, grid, Morozov(scale * delta), svdt=svdt)
+            alpha, values, fallbacks = _residual_oracle_indicator(
+                noisy, grid, scale * delta, svdt)
+            assert result.fallback_count == fallbacks
+            if scale == 1.0:
+                assert fallbacks == 0
+                np.testing.assert_allclose(result.alpha.alpha, alpha, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(result.indicator.values, values,
+                                           rtol=1e-14, atol=0.0)
+            else:
+                fell_back = result.alpha.alpha == scale * delta * svdt.s[0]
+                np.testing.assert_array_equal(fell_back, alpha == scale * delta * svdt.s[0])
+        assert (fallbacks > 0) == (svdt.u.shape[0] > svdt.s.size)
+
+    def test_discrepancy_matches_residual_oracle(self, kite_nonsquare):
+        noisy, delta, svdt, grid = kite_nonsquare
+        s2 = svdt.s ** 2
+        for z in grid.points[::211]:
+            rhs = phi_rhs(z, noisy.theta, noisy.k)
+            beta2, outside = _projections(svdt, rhs[:, None])
+            for alpha in s2[0] * np.array([1e-4, 1e-2, 1.0, 1e2]):
+                want = float(((alpha ** 2 - delta ** 2 * s2) / (s2 + alpha) ** 2)
+                             @ beta2[:, 0] + outside[0])
+                value = discrepancy(svdt, rhs, alpha, delta)
+                assert abs(value - want) <= 1e-14 * float(np.sum(np.abs(rhs) ** 2))
+
+
+class TestSpectralBracket:
+    @pytest.mark.parametrize("s", [np.array([3.0, 1.0, 0.25, 0.0]),
+                                   np.array([2.0, 0.0, 0.0]),
+                                   np.array([0.7])],
+                             ids=["rank-deficient", "rank-1-of-3", "rank-1"])
+    @pytest.mark.parametrize("with_outside", [False, True], ids=["in-range", "outside"])
+    def test_no_root_mask_matches_wide_bracket(self, s, with_outside):
+        """Deltas across 40 decades put the spectral ends on, inside and
+        beyond either end of ALPHA_BRACKET; the rootless points and the
+        roots must be the wide-bracket finder's."""
+        rng = np.random.default_rng(s.size)
+        beta2 = rng.uniform(0.0, 1.0, size=(s.size, 64)) ** 4
+        outside = (rng.uniform(0.0, 0.1, size=64) if with_outside
+                   else np.zeros(64))
+        for delta in s[0] * np.logspace(-22.0, 14.0, 73):
+            root, no_root = regsolve._root_alpha(s, beta2, outside, delta)
+            want, want_none = _wide_bracket_oracle(s, beta2, outside, delta)
+            np.testing.assert_array_equal(no_root, want_none)
+            rooted = ~no_root
+            np.testing.assert_allclose(root[rooted], want[rooted], rtol=1e-12, atol=0.0)
+
+
 class TestIndicator:
     def test_closed_form_matches_explicit_solve(self, noisy_disk):
         """The rank-cost indicator must equal 1/||g|| computed the long way."""
@@ -549,6 +729,25 @@ class TestWriters:
         write_field_csv(path, grid, values)
         assert path.read_bytes() == ("x,y,value\n" + "\n".join(rows)
                                      + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("halfwidth, resolution", [(4.0, 100), (1.3, 9)])
+    def test_csv_bytes_match_the_per_call_prefix_writer(self, tmp_path, halfwidth,
+                                                        resolution):
+        """The grid builds its `x,y,` prefixes once; every file written on
+        it has the bytes of a writer that formats them on each call."""
+        grid = SamplingGrid.make(halfwidth, resolution)
+        rng = np.random.default_rng(resolution)
+        axis = [f"{a:.17g}," for a in grid.axis.tolist()]
+        for trial in range(3):
+            values = rng.standard_normal(resolution ** 2) * 10.0 ** (trial - 1)
+            flat = [None] * (2 * values.size)
+            flat[::2] = [x + y for y in axis for x in axis]
+            flat[1::2] = values.tolist()
+            want = "x,y,value\n" + ("%s%.17g\n" * values.size) % tuple(flat)
+            path = tmp_path / f"field{trial}.csv"
+            write_field_csv(path, grid, values)
+            assert path.read_bytes() == want.encode("ascii")
+        assert grid.csv_prefixes is grid.csv_prefixes
 
     @pytest.mark.parametrize("writer", [write_field_csv, write_field_pgm])
     @pytest.mark.parametrize("size", [15, 17])
