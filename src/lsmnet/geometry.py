@@ -6,10 +6,11 @@ pairwise disjoint obstacles inside the probing square [-hw, hw]^2; the
 boundary-integral solver assumes disjointness, so it is rejected at
 construction rather than discovered later.
 
-Membership for ellipses and kites uses a winding-number test on a dense
-boundary polygon, run only on the query points inside the polygon's
-bounding box (outside it the winding number is 0); disks are answered
-analytically.
+Membership for ellipses and kites counts the signed crossings of each
+query point's rightward ray with a dense boundary polygon, one row of
+points (one y) at a time, so a grid's rows share their edge selection;
+disks are answered analytically.  The scene check runs the same test on
+each pair of boundaries, both ways.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from typing import Union
 
 import numpy as np
 
-# Boundary samples used by the winding-number membership test. Points closer
-# to the boundary than the sample spacing may be misclassified; the probing
+# Boundary samples of the polygon in the membership test. Points closer to
+# the boundary than the sample spacing may be misclassified; the probing
 # grids used here are far coarser than that.
 _WINDING_SAMPLES = 2048
 # Samples per boundary for scene validation (disjointness, containment).
 _VALIDATION_SAMPLES = 512
-# Boundary-sample/point pairs per block of the winding test: 256 kB per
-# float64 temporary, so a block's temporaries stay in L2.
-_WINDING_BLOCK = 1 << 15
 
 
 def _stack(x, y):
@@ -146,42 +144,47 @@ class Scene:
                 )
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
-                d2 = np.sum((samples[i][:, None, :] - samples[j][None, :, :]) ** 2, axis=-1)
-                if np.min(d2) == 0.0 or _boundaries_cross(samples[i], samples[j]):
+                # Any sample of one curve inside or on the other; an exactly
+                # shared sample is on both.
+                if (_inside_or_on(samples[i], samples[j]).any()
+                        or _inside_or_on(samples[j], samples[i]).any()):
                     raise ValueError(f"obstacles {i} and {j} overlap")
 
 
-def _boundaries_cross(a: np.ndarray, b: np.ndarray) -> bool:
-    # Disjointness via winding: any vertex of one curve inside the other.
-    return bool(
-        np.any(np.abs(_winding(a, b)) > 0.5) or np.any(np.abs(_winding(b, a)) > 0.5)
-    )
-
-
-def _winding(boundary: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Winding number of a closed sampled curve around each query point.
+def _inside_or_on(boundary: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Closed-set membership in the polygon through a sampled closed curve.
 
     boundary: (S, 2) samples in traversal order; points: (P, 2).
-    Returns a float array (P,), ~ +1 inside a counterclockwise curve.
-    The polygon is a closed set: a point on a sample or exactly on an
-    edge (cross = 0, dot <= 0) gets winding 1, where the angle sum alone
-    would hinge on the signs of zeros.
+    Returns a boolean array (P,): the winding number is nonzero, or the
+    point lies on a sample or an edge (cross = 0, dot <= 0).  The winding
+    number counts the edges crossing the point's rightward ray, +1 upward
+    and -1 downward (Sunday's rule; Hormann & Agathos, Comput. Geom. 20,
+    2001).  Points sharing a y share their candidate edges, so a grid's
+    edges are selected once per row.
     """
     bx, by = np.ascontiguousarray(boundary.T)
     nx, ny = np.roll(bx, -1), np.roll(by, -1)
-    winding = np.empty(points.shape[0])
-    # Blocks of whole point rows keep the passes in cache; a row's angle
-    # sum does not depend on the block height.
-    rows = max(1, _WINDING_BLOCK // bx.size)
-    for lo in range(0, points.shape[0], rows):
-        px, py = points[lo:lo + rows, 0, None], points[lo:lo + rows, 1, None]
-        vx, vy, vnx, vny = bx - px, by - py, nx - px, ny - py
+    low, high = np.minimum(by, ny), np.maximum(by, ny)
+    rows, row_of = np.unique(points[:, 1], return_inverse=True)
+    order = np.argsort(row_of, kind="stable")
+    starts = np.searchsorted(row_of[order], np.arange(rows.size + 1))
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for r, y in enumerate(rows):
+        edges = np.flatnonzero((low <= y) & (y <= high))
+        if edges.size == 0:
+            continue
+        members = order[starts[r]:starts[r + 1]]
+        px = points[members, 0, None]
+        vy, vny = by[edges] - y, ny[edges] - y
+        vx, vnx = bx[edges] - px, nx[edges] - px
         cross = vx * vny - vy * vnx
         dot = vx * vnx + vy * vny
+        up, down = (vy <= 0.0) & (vny > 0.0), (vny <= 0.0) & (vy > 0.0)
+        winding = (np.count_nonzero(up & (cross > 0.0), axis=1)
+                   - np.count_nonzero(down & (cross < 0.0), axis=1))
         on_polygon = np.any((cross == 0.0) & (dot <= 0.0), axis=1)
-        total = np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
-        winding[lo:lo + rows] = np.where(on_polygon, 1.0, total)
-    return winding
+        inside[members] = (winding != 0) | on_polygon
+    return inside
 
 
 def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMPLES) -> np.ndarray:
@@ -194,11 +197,6 @@ def contains_mask(scene: Scene, points: np.ndarray, samples: int = _WINDING_SAMP
             d = np.hypot(points[:, 0] - ob.center[0], points[:, 1] - ob.center[1])
             inside |= d <= ob.radius
         else:
-            boundary = ob.position(t)
-            # The winding number is 0 outside the closed bounding box, so
-            # only points inside it need the test.
-            low, high = boundary.min(axis=0), boundary.max(axis=0)
-            candidates = np.flatnonzero(np.all((low <= points) & (points <= high), axis=1))
-            inside[candidates] |= np.abs(_winding(boundary, points[candidates])) > 0.5
+            inside |= _inside_or_on(ob.position(t), points)
     return inside
 

@@ -61,10 +61,6 @@ class _BoundaryData:
         self.normal = np.column_stack([self.dx[:, 1], -self.dx[:, 0]])
 
 
-def _hankel_parts(order: int, z: np.ndarray):
-    return bessel_j(order, z), bessel_y(order, z)
-
-
 def _self_block(bd: _BoundaryData, k: float, eta: float) -> np.ndarray:
     """Singular quadrature discretization of the layer operators on one curve.
 
@@ -85,7 +81,8 @@ def _self_block(bd: _BoundaryData, k: float, eta: float) -> np.ndarray:
     upper = np.triu_indices(q)
     z = k * r[upper]
     j0, y0, j1, y1 = np.empty((4, q, q))
-    for full, part in zip((j0, y0, j1, y1), (*_hankel_parts(0, z), *_hankel_parts(1, z))):
+    parts = (bessel_j(0, z), bessel_y(0, z), bessel_j(1, z), bessel_y(1, z))
+    for full, part in zip((j0, y0, j1, y1), parts):
         full[upper] = full.T[upper] = part
     h0 = j0 + 1j * y0
     h1 = j1 + 1j * y1
@@ -122,8 +119,8 @@ def _cross_block(target: _BoundaryData, source: _BoundaryData,
     diffs = target.x[:, None, :] - source.x[None, :, :]
     r = np.linalg.norm(diffs, axis=2)
     w = np.einsum("ijc,jc->ij", diffs, source.normal)
-    j0, y0 = _hankel_parts(0, k * r)
-    j1, y1 = _hankel_parts(1, k * r)
+    kr = k * r
+    j0, y0, j1, y1 = bessel_j(0, kr), bessel_y(0, kr), bessel_j(1, kr), bessel_y(1, kr)
     single = 0.5j * (j0 + 1j * y0) * source.speed[None, :]
     double = 0.5j * k * (j1 + 1j * y1) * w / r
     return (np.pi / n) * (double - 1j * eta * single)

@@ -143,14 +143,9 @@ def testfunction_rhs(z, theta: np.ndarray, k: float) -> np.ndarray:
         raise ValueError("sampling point must be a 2-vector")
     if k <= 0.0:
         raise ValueError(f"wavenumber must be positive, got {k}")
-    return _rhs_batch(z[None, :], theta, k)[:, 0]
-
-
-def _rhs_batch(points: np.ndarray, theta: np.ndarray, k: float) -> np.ndarray:
-    """Test-function right-hand sides for many points, one per column."""
     xhat = np.column_stack([np.cos(theta), np.sin(theta)])
     amplitude = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
-    return amplitude * np.exp(-1j * k * (xhat @ points.T))
+    return amplitude * np.exp(-1j * k * (xhat @ z[:, None]))[:, 0]
 
 
 def tikhonov_solve(svdt: SvdTriple, rhs: np.ndarray, alpha: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lsmnet.geometry import (_WINDING_BLOCK, Disk, Ellipse, Kite, Scene,
-                             _winding, contains_mask)
+from lsmnet.geometry import (Disk, Ellipse, Kite, Scene, _inside_or_on,
+                             contains_mask)
 from lsmnet.regsolve import SamplingGrid
 
 
@@ -20,8 +20,9 @@ def _boundary_distance(scene, points, samples):
 
 
 def _reference_winding(boundary, points):
-    """The winding test as one (P, S, 2) difference array and its rolled
-    copy, with no blocking: the oracle for `_winding`."""
+    """The winding number as an angle sum over one (P, S, 2) difference
+    array and its rolled copy, 1 on the closed polygon: the oracle for
+    `_inside_or_on`, which is its `abs(winding) > 0.5`."""
     v = boundary[None, :, :] - points[:, None, :]
     vn = np.roll(v, -1, axis=1)
     cross = v[:, :, 0] * vn[:, :, 1] - v[:, :, 1] * vn[:, :, 0]
@@ -31,21 +32,27 @@ def _reference_winding(boundary, points):
     return np.where(on_polygon, 1.0, winding)
 
 
+def _reference_inside(boundary, points):
+    """`abs(_reference_winding) > 0.5`, in blocks of rows that only bound
+    memory; each row is independent."""
+    rows = max(1, (1 << 20) // boundary.shape[0])
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for lo in range(0, points.shape[0], rows):
+        winding = _reference_winding(boundary, points[lo:lo + rows])
+        inside[lo:lo + rows] = np.abs(winding) > 0.5
+    return inside
+
+
 def _unfiltered_mask(scene, points, samples=2048):
-    """Membership with the reference winding test run on every point, no
-    prefilter."""
+    """Membership with the reference winding test run on every point."""
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     inside = np.zeros(points.shape[0], dtype=bool)
     for ob in scene.obstacles:
         if isinstance(ob, Disk):
             inside |= np.hypot(points[:, 0] - ob.center[0],
                                points[:, 1] - ob.center[1]) <= ob.radius
-            continue
-        boundary = ob.position(t)
-        # Blocks of 1000 rows only bound memory; each row is independent.
-        for lo in range(0, points.shape[0], 1000):
-            winding = _reference_winding(boundary, points[lo:lo + 1000])
-            inside[lo:lo + 1000] |= np.abs(winding) > 0.5
+        else:
+            inside |= _reference_inside(ob.position(t), points)
     return inside
 
 
@@ -274,22 +281,30 @@ def test_winding_mask_against_dense_oracle():
 _KITE = Kite(center=(0.0, 0.0), scale=0.8)
 _ELLIPSE = Ellipse(center=(0.7, -0.4), semi_axis_a=1.3, semi_axis_b=0.6,
                    rotation=0.5)
-# At 200^2 this ellipse's box holds more than 4096 grid points.
 _LARGE_ELLIPSE = Ellipse(center=(1.2, -0.8), semi_axis_a=2.0,
                          semi_axis_b=1.1, rotation=0.3)
+# Its right-side box midpoint is 1 ulp off the t = 0 sample, and outside.
+_OFF_CENTRE_KITE = Kite(center=(0.5, -0.3), scale=1.4)
+_SCENES = {
+    "kite": (_KITE,),
+    "ellipse": (_ELLIPSE,),
+    "three": (Kite(center=(-1.8, 1.5), scale=0.7), _LARGE_ELLIPSE,
+              Disk(center=(-2.0, -2.5), radius=0.6)),
+    "kite-ellipse": (Kite(center=(-1.8, 1.5), scale=0.7), _ELLIPSE),
+    "off-centre-kite": (_OFF_CENTRE_KITE,),
+}
+_SCENE_GRIDS = ([(name, res) for name in ("kite", "ellipse", "three")
+                 for res in (7, 100, 200)]
+                + [(name, res) for name in ("kite-ellipse", "off-centre-kite")
+                   for res in (7, 101)])
 
 
-@pytest.mark.parametrize("resolution", [100, 200])
-@pytest.mark.parametrize("obstacles", [
-    (_KITE,),
-    (_ELLIPSE,),
-    (Kite(center=(-1.8, 1.5), scale=0.7), _LARGE_ELLIPSE,
-     Disk(center=(-2.0, -2.5), radius=0.6)),
-], ids=["kite", "ellipse", "three"])
-def test_mask_matches_unfiltered_winding(obstacles, resolution):
-    """The bounding-box prefilter leaves the mask bitwise unchanged, also
-    for points exactly on the (inclusive) sides of each box."""
-    scene = Scene(obstacles=obstacles)
+@pytest.mark.parametrize("name, resolution", _SCENE_GRIDS,
+                         ids=[f"{name}-{res}" for name, res in _SCENE_GRIDS])
+def test_mask_matches_unfiltered_winding(name, resolution):
+    """The mask is the reference winding test's on every grid point and on
+    the points exactly on each side of each obstacle's bounding box."""
+    scene = Scene(obstacles=_SCENES[name])
     points = np.vstack([SamplingGrid.make(4.0, resolution).points,
                         _bounding_box_points(scene)])
     expected = _unfiltered_mask(scene, points)
@@ -302,61 +317,135 @@ def test_mask_matches_unfiltered_winding(obstacles, resolution):
 def test_boundary_samples_are_inside(obstacle):
     """The membership test is the closed set, as for disks and the training
     labels: every boundary sample is inside, the extreme ones of the
-    bounding box included, where the angle sum meets signed zeros."""
+    bounding box included, where a crossing count alone would hinge on
+    the half-open rule for edge ends."""
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     boundary = obstacle.position(t)
     extremes = boundary[[np.argmin(boundary[:, 0]), np.argmax(boundary[:, 0]),
                          np.argmin(boundary[:, 1]), np.argmax(boundary[:, 1])]]
-    np.testing.assert_array_equal(_winding(boundary, extremes), 1.0)
+    assert _inside_or_on(boundary, extremes).all()
+    assert _inside_or_on(boundary, boundary).all()
     scene = Scene(obstacles=(obstacle,))
     assert contains_mask(scene, extremes).all()
     assert contains_mask(scene, boundary).all()
 
 
-@pytest.mark.parametrize("resolution", [100, 200])
-@pytest.mark.parametrize("obstacle", [_KITE, _ELLIPSE, _LARGE_ELLIPSE],
-                         ids=["kite", "ellipse", "large-ellipse"])
+@pytest.mark.parametrize("resolution", [7, 10, 99, 100, 101, 200, 333])
+@pytest.mark.parametrize("obstacle", [_KITE, _ELLIPSE, _LARGE_ELLIPSE,
+                                      _OFF_CENTRE_KITE],
+                         ids=["kite", "ellipse", "large-ellipse",
+                              "off-centre-kite"])
 def test_winding_bitwise_equal_to_reference(obstacle, resolution):
-    """The blocked winding numbers are the reference's to the bit, signed
-    zeros included, on the box's grid points, its edges and the samples."""
+    """The crossing-count membership is the reference winding test's, bit
+    for bit, on the grid, the bounding box's sides and every boundary
+    sample.  The reference runs on the points inside the closed box;
+    outside it both are False."""
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     boundary = obstacle.position(t)
-    points = SamplingGrid.make(4.0, resolution).points
-    points = np.vstack([
-        points[np.all((boundary.min(axis=0) <= points)
-                      & (points <= boundary.max(axis=0)), axis=1)],
-        _bounding_box_points(Scene(obstacles=(obstacle,))), boundary[::7]])
-    got = _winding(boundary, points)
-    assert got.tobytes() == _reference_winding(boundary, points).tobytes()
+    points = np.vstack([SamplingGrid.make(4.0, resolution).points,
+                        _bounding_box_points(Scene(obstacles=(obstacle,)))])
+    in_box = np.all((boundary.min(axis=0) <= points)
+                    & (points <= boundary.max(axis=0)), axis=1)
+    expected = np.zeros(points.shape[0], dtype=bool)
+    expected[in_box] = _reference_inside(boundary, points[in_box])
+    assert expected.any() and not expected.all()
+    got = _inside_or_on(boundary, points)
+    assert got.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(_inside_or_on(boundary, boundary),
+                                  _reference_inside(boundary, boundary))
 
 
-@pytest.mark.parametrize("samples", [2048, 3000, _WINDING_BLOCK + 1])
-def test_mask_with_several_winding_blocks(samples):
-    """More candidates than one block of whole point rows holds, the last
-    block partial and holding inside points: every block is tested, the
-    last one included, bitwise as the reference.  Block heights 16, 10
-    and 1 (more samples than a block holds)."""
-    rows = max(1, _WINDING_BLOCK // samples)
-    boundary = _LARGE_ELLIPSE.position(
-        np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
-    points = SamplingGrid.make(4.0, 200 if rows > 1 else 40).points
-    points = points[np.all((boundary.min(axis=0) <= points)
-                           & (points <= boundary.max(axis=0)), axis=1)]
-    # Shuffled, so that the partial last block is not the box's top row,
-    # and three short of the box's points (5,760 at 200^2, a multiple of
-    # both 16 and 10).
-    points = np.random.default_rng(samples).permutation(points)[:-3]
-    assert points.shape[0] > rows
+@pytest.mark.parametrize("samples", [2048, 3000, 32769])
+def test_mask_with_sample_counts(samples):
+    """The mask is the reference's at any sample count: 2048, one that is
+    not a power of two, and more samples than the grid has points."""
+    points = SamplingGrid.make(4.0, 100 if samples < 10_000 else 40).points
     scene = Scene(obstacles=(_LARGE_ELLIPSE,))
     expected = _unfiltered_mask(scene, points, samples)
     assert expected.any() and not expected.all()
-    if rows > 1:
-        assert points.shape[0] % rows != 0
-        assert expected[rows * (points.shape[0] // rows):].any()
     np.testing.assert_array_equal(contains_mask(scene, points, samples),
                                   expected)
-    assert (_winding(boundary, points).tobytes()
-            == _reference_winding(boundary, points).tobytes())
+
+
+def _random_obstacle(rng):
+    center = tuple(rng.uniform(-2.5, 2.5, 2))
+    kind = rng.integers(3)
+    if kind == 0:
+        return Disk(center=center, radius=rng.uniform(0.2, 1.0))
+    if kind == 1:
+        return Ellipse(center=center, semi_axis_a=rng.uniform(0.2, 1.2),
+                       semi_axis_b=rng.uniform(0.2, 1.2),
+                       rotation=rng.uniform(0.0, np.pi))
+    return Kite(center=center, scale=rng.uniform(0.2, 0.9))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_scene_mask_matches_reference(seed):
+    """Seeded random scenes of two or three obstacles: the mask is the
+    reference's on scattered points (every y distinct), a grid and the
+    bounding boxes' sides."""
+    rng = np.random.default_rng(seed)
+    while True:
+        obstacles = [_random_obstacle(rng) for _ in range(rng.integers(2, 4))]
+        try:
+            scene = Scene(obstacles=obstacles)
+        except ValueError:
+            continue
+        if not all(isinstance(ob, Disk) for ob in obstacles):
+            break
+    points = np.vstack([rng.uniform(-4.0, 4.0, size=(600, 2)),
+                        SamplingGrid.make(4.0, 25).points,
+                        _bounding_box_points(scene)])
+    expected = _unfiltered_mask(scene, points)
+    assert expected.any()
+    np.testing.assert_array_equal(contains_mask(scene, points), expected)
+
+
+def test_shared_vertex_counts_as_overlap():
+    """Two squares that share exactly one corner, and are otherwise outside
+    each other: the corner is on both, so each finds the other."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    corner_to_corner = square + 1.0
+    np.testing.assert_array_equal(_inside_or_on(square, corner_to_corner),
+                                  [True, False, False, False])
+    np.testing.assert_array_equal(_inside_or_on(corner_to_corner, square),
+                                  [False, False, True, False])
+
+
+def _reference_scene_verdict(obstacles, hw=4.0, samples=512):
+    """The scene check as a distance rule (a shared sample) plus the
+    reference winding test both ways: True when the scene is valid."""
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    curves = [ob.position(t) for ob in obstacles]
+    if any(np.any(np.abs(curve) > hw) for curve in curves):
+        return False
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            d2 = np.sum((curves[i][:, None, :] - curves[j][None, :, :]) ** 2,
+                        axis=-1)
+            if (np.min(d2) == 0.0
+                    or _reference_inside(curves[i], curves[j]).any()
+                    or _reference_inside(curves[j], curves[i]).any()):
+                return False
+    return True
+
+
+def test_scene_verdicts_match_reference():
+    """Seeded random two-obstacle scenes, some overlapping, some nested
+    and some apart: `Scene` accepts exactly those the reference check
+    accepts."""
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(80):
+        obstacles = (_random_obstacle(rng), _random_obstacle(rng))
+        try:
+            Scene(obstacles=obstacles)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _reference_scene_verdict(obstacles), obstacles
+        verdicts.append(accepted)
+    assert 10 <= sum(verdicts) <= 70
 
 
 def test_scene_rejects_bad_shapes():
@@ -382,7 +471,12 @@ def test_scene_rejects_overlap_and_escape():
 
 
 def test_nested_boundaries_rejected():
-    """A boundary strictly inside another is not a valid scene."""
+    """A boundary strictly inside another is not a valid scene, in either
+    order."""
     with pytest.raises(ValueError):
         Scene(obstacles=(Disk(center=(0.0, 0.0), radius=1.5),
                          Disk(center=(0.0, 0.0), radius=0.3)))
+    with pytest.raises(ValueError):
+        Scene(obstacles=(Kite(center=(0.2, 0.0), scale=0.3),
+                         Ellipse(center=(0.0, 0.0), semi_axis_a=1.6,
+                                 semi_axis_b=1.2)))
