@@ -31,10 +31,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from os import environ
 from pathlib import Path
 
-STRATEGIES = ("morozov", "constant", "learned", "deeponet-only")
 # "deeponet-only" is a CLI spelling; files use the bare network name.
-_STRATEGY_STEMS = {"morozov": "morozov", "constant": "constant",
-                   "learned": "learned", "deeponet-only": "deeponet"}
+STRATEGIES = ("morozov", "constant", "learned", "deeponet-only")
 
 DEFAULT_NTK_SWEEP = (0.05, 0.15, 0.4, 0.8)
 DEFAULT_BENCHMARK_SIZES = (10, 20, 50, 100, 200, 500)
@@ -456,14 +454,15 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
                     noisenet_path=None) -> None:
     """Run the sampling reconstruction under the selected strategies.
 
-    Each strategy writes its indicator as CSV and PGM, its
-    regularization field as CSV (when it has one), and a small metrics
-    file with contrast, intersection-over-union against the true
+    The operator network runs once, for `deeponet-only` and the learned
+    alpha; one pass solves the other strategies, each once.  Each writes
+    its indicator as CSV and PGM, its alpha field as CSV (if it has one),
+    and metrics: contrast, intersection-over-union against the true
     obstacle mask at threshold 0.5, and the discrepancy-fallback count.
     """
-    from . import deeponet, geometry, regsolve
+    from . import deeponet, geometry, noisenet, regsolve
 
-    chosen = tuple(strategies) if strategies else STRATEGIES
+    chosen = tuple(dict.fromkeys(strategies)) if strategies else STRATEGIES
     for name in chosen:
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
@@ -484,43 +483,38 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
     grid = regsolve.SamplingGrid.make(config.L, config.grid_resolution)
     svdt = regsolve.svd(measured)
     inside = geometry.contains_mask(scene, grid.points)
+    network = deeponet.indicator_eval(model, measured, grid) \
+        if needs_model else None
+    rules = {}
+    if "morozov" in chosen:
+        rules["morozov"] = regsolve.Morozov(delta)
+    if "constant" in chosen:
+        rules["constant"] = regsolve.Constant(svdt.s[0] / 100.0)
+    if "learned" in chosen:
+        rules["learned"] = regsolve.Field(deeponet.indicator_alpha(
+            noisenet.predict_delta(noise_model, measured), network))
+    solved = dict(zip(rules, regsolve.lsm_indicators(
+        measured, grid, tuple(rules.values()), svdt))) if rules else {}
 
     meta_extra = [("eta", repr(config.eta)), ("delta", repr(delta)),
                   ("raw_shape", f"{config.raw_m}x{config.raw_n}"),
                   ("grid_resolution", config.grid_resolution),
                   ("strategies", ",".join(chosen))]
     for name in chosen:
-        stem = _STRATEGY_STEMS[name]
-        reg_field = None
-        fallbacks = None
-        if name == "deeponet-only":
-            indicator = deeponet.indicator_eval(model, measured, grid)
-            values = indicator.values
+        stem = name.removesuffix("-only")
+        result = solved.get(name)
+        if result is None:
+            values, fallbacks = network.values, None
             predicted = values >= 0.5
         else:
-            if name == "morozov":
-                strategy = regsolve.Morozov(delta)
-            elif name == "constant":
-                strategy = regsolve.Constant(svdt.s[0] / 100.0)
-            else:
-                reg_field = deeponet.learned_regularizer(
-                    model, noise_model, measured, grid)
-                strategy = regsolve.Field(reg_field)
-            result = regsolve.lsm_indicator(measured, grid, strategy,
-                                            svdt=svdt)
-            indicator = result.indicator
-            values = indicator.values
-            reg_field = result.alpha
-            fallbacks = result.fallback_count
+            values, fallbacks = result.indicator.values, result.fallback_count
             predicted = regsolve.normalized(values) >= 0.5
-
+            regsolve.write_field_csv(out / f"alpha_{stem}.csv", grid,
+                                     result.alpha.alpha)
         regsolve.write_field_csv(out / f"indicator_{stem}.csv", grid,
                                  values)
         regsolve.write_field_pgm(out / f"indicator_{stem}.pgm", grid,
                                  values)
-        if reg_field is not None:
-            regsolve.write_field_csv(out / f"alpha_{stem}.csv", grid,
-                                     reg_field.alpha)
         contrast, iou = _field_metrics(values, inside, predicted)
         metric_lines = [f"strategy = {name}",
                         f"contrast = {repr(contrast)}",

@@ -304,10 +304,14 @@ def indicator_eval(model: RbfDeepOnet, farfield: FarFieldMatrix,
 def learned_regularizer(model: RbfDeepOnet, noise_model, farfield: FarFieldMatrix,
                         grid: SamplingGrid) -> RegField:
     """Spatial Tikhonov parameter: estimated perturbation norm times indicator."""
-    delta = noisenet.predict_delta(noise_model, farfield)
-    indicator = indicator_eval(model, farfield, grid)
+    return indicator_alpha(noisenet.predict_delta(noise_model, farfield),
+                           indicator_eval(model, farfield, grid))
+
+
+def indicator_alpha(delta: float, indicator: IndicatorField) -> RegField:
+    """The learned rule max(delta I, ALPHA_FLOOR_REL delta) on the indicator's grid."""
     alpha = np.maximum(delta * indicator.values, ALPHA_FLOOR_REL * delta)
-    return RegField(grid, alpha)
+    return RegField(indicator.grid, alpha)
 
 
 def save_deeponet(path, model: RbfDeepOnet) -> None:

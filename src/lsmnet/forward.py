@@ -201,8 +201,8 @@ def add_noise(farfield: FarFieldMatrix, eta: float, seed: int):
     block so a fixed seed pins the realization bit for bit.  The recorded
     delta is the spectral norm of the actual perturbation, not a bound.
     """
-    if eta < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {eta}")
+    if not (np.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"noise level must be nonnegative and finite, got {eta}")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal(farfield.shape)
     y = rng.standard_normal(farfield.shape)

@@ -166,8 +166,8 @@ def nystrom_farfield(scene: Scene, k: float, m: int, n: int,
                      quadrature_points: int = 128) -> FarFieldMatrix:
     """Far-field matrix of a scene of sound-soft obstacles, solved with an
     even number quadrature_points of quadrature points per boundary."""
-    if k <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    if not (np.isfinite(k) and k > 0.0):
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
     if quadrature_points < _MIN_QUADRATURE or quadrature_points % 2:
         raise ValueError(
             f"quadrature_points must be even and >= {_MIN_QUADRATURE}, "

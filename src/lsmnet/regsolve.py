@@ -8,14 +8,14 @@ factors applied to projected right-hand sides.
 
 The regularization parameter comes from a strategy object: a discrepancy
 match against a known perturbation norm, a fixed constant, or a
-precomputed spatial field.  The discrepancy's out-of-range energy is
-read off the orthogonal complement of U, empty for square data.  Its
-root is found in log alpha, on the spectral bracket described at
-ALPHA_BRACKET, by Chandrupatla's bracketed hybrid (Adv. Eng. Softw. 28,
-1997), vectorized over points: each step takes an inverse-quadratic
-guess where it is safe and halves the bracket otherwise, so the root
-stays bracketed as under bisection and converges to rounding in about
-11 steps.
+precomputed spatial field; strategies solved together share each
+projection.  The discrepancy's out-of-range energy is read off the
+orthogonal complement of U, empty for square data.  Its root is found
+in log alpha, on the spectral bracket described at ALPHA_BRACKET, by
+Chandrupatla's bracketed hybrid (Adv. Eng. Softw. 28, 1997), vectorized
+over points: each step takes an inverse-quadratic guess where it is
+safe and halves the bracket otherwise, so the root stays bracketed as
+under bisection and converges to rounding in about 11 steps.
 """
 
 from __future__ import annotations
@@ -326,36 +326,32 @@ class LsmResult:
     fallback_count: int
 
 
-def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
-                  svdt: SvdTriple | None = None) -> LsmResult:
-    """Sampling indicator 1/||g_z|| over the grid under one alpha strategy.
+def lsm_indicators(farfield: FarFieldMatrix, grid: SamplingGrid, strategies,
+                   svdt: SvdTriple) -> list:
+    """Sampling indicators 1/||g_z|| on the grid, one LsmResult per strategy.
 
-    The density norm never needs the density itself:
-    ||g_z||^2 = sum_i (s_i/(s_i^2 + alpha_z))^2 |beta_i|^2 with
-    beta = U^H phi_z, so each point costs O(rank) after the shared SVD.
-    The test functions factor over the grid axes,
-    exp(-ik xhat.z) = exp(-ik x cos theta) exp(-ik y sin theta), so the
-    right-hand sides take 2 m res exponentials rather than m res^2.
-    Morozov points without a discrepancy root fall back to
-    alpha = delta * sigma_1 and are counted in the result.
-
-    A precomputed decomposition of the same matrix may be passed when
-    several strategies share one far field; it is trusted apart from a
-    shape check.
+    ||g_z||^2 = sum_i (s_i/(s_i^2 + alpha_z))^2 |beta_i|^2 with beta = U^H phi_z
+    from svdt, the SVD of the same far field (checked for shape only).  The
+    test functions factor over the axes, exp(-ik xhat.z) = exp(-ik x cos theta)
+    exp(-ik y sin theta), so the right-hand sides take 2 m res exponentials.
+    Each block of whole grid rows builds them and |beta|^2 once for all
+    strategies; each then picks its alpha and sums its filter factors, which
+    all come from the one SVD (Hansen 1998).  Morozov points without a
+    discrepancy root fall back to alpha = delta * sigma_1 and are counted.
     """
-    if svdt is None:
-        svdt = svd(farfield)
-    elif svdt.u.shape[0] != farfield.shape[0]:
+    if svdt.u.shape[0] != farfield.shape[0]:
         raise ValueError("decomposition does not match the far-field shape")
     if svdt.s[0] <= 0.0:
         raise ValueError("far-field matrix is identically zero")
-    if isinstance(strategy, Field) and strategy.field.grid != grid:
-        raise ValueError("regularization field lives on a different grid")
+    for strategy in strategies:
+        if not isinstance(strategy, (Morozov, Constant, Field)):
+            raise TypeError(f"unknown regularization strategy {type(strategy).__name__}")
+        if isinstance(strategy, Field) and strategy.field.grid != grid:
+            raise ValueError("regularization field lives on a different grid")
 
-    total = grid.resolution ** 2
-    alphas = np.empty(total)
-    gnorm2 = np.empty(total)
-    fallbacks = 0
+    alphas = np.empty((len(strategies), grid.resolution ** 2))
+    gnorm2 = np.empty_like(alphas)
+    fallbacks = [0] * len(strategies)
     s = svdt.s
     res, k = grid.resolution, farfield.k
     amplitude = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
@@ -367,23 +363,29 @@ def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
         rhs = (along_y[:, first:first + rows, None]
                * along_x[:, None, :]).reshape(-1, stop - start)
         beta2 = np.abs(svdt.u.conj().T @ rhs) ** 2
-        if isinstance(strategy, Morozov):
-            alpha, no_root = _root_alpha(s, beta2, svdt.outside(rhs),
-                                         strategy.delta)
-            alpha[no_root] = strategy.delta * s[0]
-            fallbacks += int(no_root.sum())
-        elif isinstance(strategy, Constant):
-            alpha = np.full(stop - start, strategy.alpha)
-        elif isinstance(strategy, Field):
-            alpha = strategy.field.alpha[start:stop]
-        else:
-            raise TypeError(f"unknown regularization strategy {type(strategy).__name__}")
-        alphas[start:stop] = alpha
-        filters = (s[:, None] / (s[:, None] ** 2 + alpha[None, :])) ** 2
-        gnorm2[start:stop] = np.sum(filters * beta2, axis=0)
+        for i, strategy in enumerate(strategies):
+            if isinstance(strategy, Morozov):
+                alpha, no_root = _root_alpha(s, beta2, svdt.outside(rhs),
+                                             strategy.delta)
+                alpha[no_root] = strategy.delta * s[0]
+                fallbacks[i] += int(no_root.sum())
+            elif isinstance(strategy, Constant):
+                alpha = np.full(stop - start, strategy.alpha)
+            else:
+                alpha = strategy.field.alpha[start:stop]
+            alphas[i, start:stop] = alpha
+            filters = (s[:, None] / (s[:, None] ** 2 + alpha[None, :])) ** 2
+            gnorm2[i, start:stop] = np.sum(filters * beta2, axis=0)
 
-    return LsmResult(IndicatorField(grid, 1.0 / np.sqrt(gnorm2)),
-                     RegField(grid, alphas), fallbacks)
+    return [LsmResult(IndicatorField(grid, 1.0 / np.sqrt(norm2)),
+                      RegField(grid, alpha), count)
+            for alpha, norm2, count in zip(alphas, gnorm2, fallbacks)]
+
+
+def lsm_indicator(farfield: FarFieldMatrix, grid: SamplingGrid, strategy,
+                  svdt: SvdTriple) -> LsmResult:
+    """Sampling indicator under one alpha strategy: lsm_indicators of one."""
+    return lsm_indicators(farfield, grid, (strategy,), svdt)[0]
 
 
 def normalized(values: np.ndarray) -> np.ndarray:

@@ -52,6 +52,19 @@ def _run_pipeline(config_path: str):
         assert main(argv) == 0
 
 
+def _spy(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records each call's args."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full tiny gen/train/reconstruct run, checked for determinism."""
@@ -297,6 +310,58 @@ class TestPipeline:
         assert not (solo / "indicator_learned.csv").exists()
         assert not (solo / "indicator_deeponet.csv").exists()
 
+    def test_one_network_evaluation_and_one_solve(self, pipeline, tmp_path,
+                                                  monkeypatch):
+        from lsmnet import deeponet, noisenet, regsolve
+
+        config, _, out, first, _ = pipeline
+        calls = {name: _spy(monkeypatch, module, name) for module, name in (
+            (deeponet, "indicator_eval"), (noisenet, "predict_delta"),
+            (regsolve, "lsm_indicators"), (regsolve, "lsm_indicator"))}
+        again = tmp_path / "again"
+        cli.cmd_reconstruct(dataclasses.replace(config, out_dir=str(again)),
+                            deeponet_path=out / "deeponet_model.bin",
+                            noisenet_path=out / "noisenet_model.bin")
+        assert {name: len(args) for name, args in calls.items()} == {
+            "indicator_eval": 1, "predict_delta": 1, "lsm_indicators": 1,
+            "lsm_indicator": 0}
+        solved = calls["lsm_indicators"][0][2]
+        assert [type(rule) for rule in solved] == [
+            regsolve.Morozov, regsolve.Constant, regsolve.Field]
+        for name, digest in _hash_tree(again).items():
+            if name.startswith(("indicator_", "alpha_", "metrics_")):
+                assert digest == first[name], name
+
+    def test_network_alone_loads_no_estimator_and_solves_nothing(
+            self, pipeline, tmp_path, monkeypatch):
+        from lsmnet import noisenet, regsolve
+
+        config, _, out, _, _ = pipeline
+        calls = [_spy(monkeypatch, module, name) for module, name in (
+            (noisenet, "load_noisenet"), (regsolve, "lsm_indicators"),
+            (regsolve, "lsm_indicator"))]
+        cli.cmd_reconstruct(dataclasses.replace(config, out_dir=str(tmp_path)),
+                            strategies=("deeponet-only",),
+                            deeponet_path=out / "deeponet_model.bin")
+        assert calls == [[], [], []]
+        assert sorted(path.name for path in tmp_path.glob("*_deeponet*")) == [
+            "indicator_deeponet.csv", "indicator_deeponet.pgm",
+            "metrics_deeponet.txt"]
+
+    def test_repeated_strategy_is_solved_once(self, pipeline, tmp_path,
+                                              monkeypatch):
+        from lsmnet import regsolve
+
+        _, config_path, _, _, _ = pipeline
+        solves = _spy(monkeypatch, regsolve, "lsm_indicators")
+        assert main(["reconstruct", "--config", str(config_path),
+                     "--out", str(tmp_path), "--strategy", "morozov",
+                     "--strategy", "constant", "--strategy", "morozov"]) == 0
+        assert len(solves) == 1 and len(solves[0][2]) == 2
+        meta = (tmp_path / "run_meta_reconstruct.txt").read_text().splitlines()
+        assert "strategies = morozov,constant" in meta
+        assert sum(line.startswith("fallbacks_morozov") for line in meta) == 1
+
     def test_missing_model_is_explained(self, pipeline, tmp_path):
         config, _, _, _, _ = pipeline
         empty = dataclasses.replace(config, out_dir=str(tmp_path / "none"))
@@ -318,6 +383,22 @@ class TestPipeline:
         config, _, _, _, _ = pipeline
         with pytest.raises(ValueError, match="must be nonnegative"):
             command(dataclasses.replace(config, eta=-0.1))
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_level_is_refused(self, pipeline, eta):
+        config, _, _, _, _ = pipeline
+        with pytest.raises(ValueError, match=r"noise level must be "
+                                             r"nonnegative and finite, got"):
+            cli.cmd_reconstruct(dataclasses.replace(config, eta=eta),
+                                strategies=("constant",))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_wavelength_is_refused(self, pipeline, lam):
+        config, _, _, _, _ = pipeline
+        with pytest.raises(ValueError, match=r"wavenumber must be positive "
+                                             r"and finite, got"):
+            cli.cmd_reconstruct(dataclasses.replace(config, lam=lam),
+                                strategies=("constant",))
 
     @pytest.mark.parametrize("command", [cli.cmd_reconstruct,
                                          cli.cmd_benchmark],

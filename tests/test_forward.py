@@ -269,6 +269,13 @@ def test_noise_zero_eta():
     assert realization.delta == 0.0
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_noise_refuses_non_finite_level_by_name(eta):
+    ff = disk_farfield((0.0, 0.0), 1.0, K, 8, 8)
+    with pytest.raises(ValueError, match=f"noise level must be nonnegative and finite, got {eta}"):
+        add_noise(ff, eta, seed=3)
+
+
 def test_noise_seed_determinism():
     ff = disk_farfield((0.2, 0.0), 0.8, K, 10, 14)
     first, r1 = add_noise(ff, 0.1, seed=42)

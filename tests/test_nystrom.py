@@ -250,6 +250,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             nystrom_farfield(_kite(), 0.0, 8, 8)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_wavenumber_by_name(self, k):
+        with pytest.raises(ValueError, match=f"wavenumber must be positive and finite, got {k}"):
+            nystrom_farfield(_kite(), k, 8, 8)
+
     def test_rejects_tiny_angle_grids(self):
         with pytest.raises(ValueError):
             nystrom_farfield(_kite(), K, 2, 8)

@@ -17,6 +17,7 @@ from lsmnet.regsolve import (
     SvdTriple,
     discrepancy,
     lsm_indicator,
+    lsm_indicators,
     morozov_alpha,
     normalized,
     svd,
@@ -490,12 +491,15 @@ class TestRootFinder:
 
 @pytest.fixture(scope="module", params=[(60, 40), (40, 60)], ids=["m>n", "m<n"])
 def kite_nonsquare(request):
+    return _nonsquare_kite(*request.param)
+
+
+def _nonsquare_kite(m, n):
     """Default kite at 10 percent noise, measured on a non-square m x n
     grid of angles; for m > n the range of U misses m - n directions."""
     from lsmnet.geometry import Kite, Scene
     from lsmnet.nystrom import nystrom_farfield
 
-    m, n = request.param
     clean = nystrom_farfield(Scene((Kite((0.0, 0.0), 0.8),)), K, m, n)
     noisy, realization = add_noise(clean, 0.1, seed=21)
     return noisy, realization.delta, svd(noisy), SamplingGrid.make(4.0, 40)
@@ -582,7 +586,7 @@ class TestIndicator:
         """The rank-cost indicator must equal 1/||g|| computed the long way."""
         noisy, _, svdt = noisy_disk
         grid = SamplingGrid.make(2.0, 12)
-        result = lsm_indicator(noisy, grid, Constant(0.01))
+        result = lsm_indicator(noisy, grid, Constant(0.01), svdt)
         for p in range(0, grid.points.shape[0], 13):
             rhs = phi_rhs(grid.points[p], noisy.theta, noisy.k)
             explicit = 1.0 / np.linalg.norm(tikhonov_solve(svdt, rhs, 0.01))
@@ -612,25 +616,25 @@ class TestIndicator:
             assert abs(value) <= 1e-10 * float(np.sum(np.abs(rhs) ** 2))
 
     def test_indicator_peaks_inside_scatterer(self, noisy_disk):
-        noisy, delta, _ = noisy_disk
+        noisy, delta, svdt = noisy_disk
         grid = SamplingGrid.make(2.0, 12)
-        values = lsm_indicator(noisy, grid, Morozov(delta)).indicator.values
+        values = lsm_indicator(noisy, grid, Morozov(delta), svdt).indicator.values
         inside = np.linalg.norm(grid.points, axis=1) <= 0.8
         assert values[inside].mean() > 1.5 * values[~inside].mean()
 
     def test_field_strategy_reproduces_morozov(self, noisy_disk):
         # Feeding the Morozov alpha field back in must give identical values.
-        noisy, delta, _ = noisy_disk
+        noisy, delta, svdt = noisy_disk
         grid = SamplingGrid.make(2.0, 10)
-        first = lsm_indicator(noisy, grid, Morozov(delta))
-        second = lsm_indicator(noisy, grid, Field(first.alpha))
+        first = lsm_indicator(noisy, grid, Morozov(delta), svdt)
+        second = lsm_indicator(noisy, grid, Field(first.alpha), svdt)
         np.testing.assert_array_equal(second.indicator.values,
                                       first.indicator.values)
 
     def test_all_points_fall_back_for_tiny_delta(self, noisy_disk):
         noisy, _, svdt = noisy_disk
         grid = SamplingGrid.make(2.0, 6)
-        result = lsm_indicator(noisy, grid, Morozov(1e-300))
+        result = lsm_indicator(noisy, grid, Morozov(1e-300), svdt)
         assert result.fallback_count == grid.points.shape[0]
         np.testing.assert_allclose(result.alpha.alpha, 1e-300 * svdt.s[0])
 
@@ -638,21 +642,58 @@ class TestIndicator:
         noisy, delta, svdt = noisy_disk
         grid = SamplingGrid.make(2.0, 6)
         with pytest.raises(TypeError):
-            lsm_indicator(noisy, grid, object())
+            lsm_indicator(noisy, grid, object(), svdt)
         for other in (SamplingGrid.make(3.0, 6), SamplingGrid.make(2.0, 7),
                       SamplingGrid.make(np.nextafter(2.0, 3.0), 6)):
             field = RegField(other, np.ones(other.resolution ** 2))
             with pytest.raises(ValueError, match="different grid"):
-                lsm_indicator(noisy, grid, Field(field))
+                lsm_indicator(noisy, grid, Field(field), svdt)
         same = RegField(SamplingGrid.make(2.0, 6), np.ones(36))
-        lsm_indicator(noisy, grid, Field(same))
+        lsm_indicator(noisy, grid, Field(same), svdt)
         with pytest.raises(ValueError, match="does not match"):
             small = svd(np.eye(4))
             lsm_indicator(noisy, grid, Morozov(delta), svdt=small)
         with pytest.raises(ValueError):
             zero = disk_farfield((0.0, 0.0), 1.0, K, 8, 8)
             object.__setattr__(zero, "entries", np.zeros_like(zero.entries))
-            lsm_indicator(zero, grid, Morozov(delta))
+            lsm_indicator(zero, grid, Morozov(delta), svd(zero))
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("shape", [(50, 50), (60, 40), (40, 60)], ids="{0[0]}x{0[1]}".format)
+    def test_equals_one_strategy_calls_bit_for_bit(self, shape, kite_50, monkeypatch):
+        """Two Morozov deltas, a constant and a field solved in one pass give
+        the indicators, alphas and fallback counts of one call each, over
+        several row blocks with a partial last one.  At 0.3 delta the 60x40
+        data leave 553 of 1,600 points without a root."""
+        noisy, delta, svdt, grid = kite_50 if shape == (50, 50) else _nonsquare_kite(*shape)
+        monkeypatch.setattr(regsolve, "_CHUNK", 700)
+        rows = 700 // grid.resolution
+        assert grid.resolution % rows and grid.resolution > 2 * rows
+        field = RegField(grid, np.linspace(1e-3, 1.0, grid.resolution ** 2) * svdt.s[0] ** 2)
+        strategies = (Morozov(delta), Constant(svdt.s[0] / 100.0), Field(field),
+                      Morozov(0.3 * delta))
+        shared = lsm_indicators(noisy, grid, strategies, svdt)
+        assert len(shared) == len(strategies)
+        for strategy, got in zip(strategies, shared):
+            want = lsm_indicator(noisy, grid, strategy, svdt)
+            np.testing.assert_array_equal(got.indicator.values, want.indicator.values)
+            np.testing.assert_array_equal(got.alpha.alpha, want.alpha.alpha)
+            assert got.fallback_count == want.fallback_count
+        np.testing.assert_array_equal(shared[2].alpha.alpha, field.alpha)
+        assert shared[0].fallback_count == 0
+        assert shared[3].fallback_count == (553 if svdt.u.shape[0] > svdt.s.size else 0)
+
+    def test_refuses_before_any_work(self, noisy_disk, monkeypatch):
+        noisy, delta, svdt = noisy_disk
+        grid = SamplingGrid.make(2.0, 6)
+        monkeypatch.setattr(regsolve, "_root_alpha", None)
+        with pytest.raises(TypeError, match="unknown regularization strategy"):
+            lsm_indicators(noisy, grid, (Morozov(delta), object()), svdt)
+        other = RegField(SamplingGrid.make(2.0, 7), np.ones(49))
+        with pytest.raises(ValueError, match="different grid"):
+            lsm_indicators(noisy, grid, (Morozov(delta), Field(other)), svdt)
+        assert lsm_indicators(noisy, grid, (), svdt) == []
 
 
 class TestFieldContainers:
