@@ -481,7 +481,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
     measured, delta = _measurement(config, scene)
 
     grid = regsolve.SamplingGrid.make(config.L, config.grid_resolution)
-    svdt = regsolve.svd(measured)
+    svdt = regsolve.svd(measured) if set(chosen) - {"deeponet-only"} else None
     inside = geometry.contains_mask(scene, grid.points)
     network = deeponet.indicator_eval(model, measured, grid) \
         if needs_model else None

@@ -4,7 +4,11 @@ For every sampling point z the far-field equation F g = phi_z is solved
 in Tikhonov-regularized form, and the reconstruction indicator is the
 reciprocal density norm 1/||g_z||.  Everything is expressed through one
 SVD of the far-field matrix, so the per-point work reduces to filter
-factors applied to projected right-hand sides.
+factors applied to projected right-hand sides.  On the canonical grid
+of an even number m of angles, theta_(j+m/2) = theta_j + pi, so the test
+function at one angle of each antipodal pair is the conjugate of the
+other's; the projections then come from one real matrix product over
+half the angles, in real arithmetic only.
 
 The regularization parameter comes from a strategy object: a discrepancy
 match against a known perturbation norm, a fixed constant, or a
@@ -37,9 +41,11 @@ from .forward import FarFieldMatrix
 ALPHA_BRACKET = (1e-16, 1e6)
 BISECT_ITERATIONS = 60
 
-# Points per block of right-hand sides, rounded down to whole grid rows.
-# On a 2-vCPU Xeon, 8192-point blocks made a learned-field solve at 100^2
-# points right after a discrepancy solve twice as slow as this size.
+# Points per block of test functions, rounded down to whole grid rows.
+# On a 2-vCPU Xeon, 2048-point blocks made the discrepancy solve at 200^2
+# points 35% slower (twice the blocks to step the root finder over), and
+# 8192-point blocks made a field solve right after it 29% slower than this
+# size.
 _CHUNK = 4096
 
 
@@ -141,8 +147,8 @@ def testfunction_rhs(z, theta: np.ndarray, k: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise ValueError("sampling point must be a 2-vector")
-    if k <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    if not (np.isfinite(k) and k > 0.0):
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
     xhat = np.column_stack([np.cos(theta), np.sin(theta)])
     amplitude = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
     return amplitude * np.exp(-1j * k * (xhat @ z[:, None]))[:, 0]
@@ -333,11 +339,17 @@ def lsm_indicators(farfield: FarFieldMatrix, grid: SamplingGrid, strategies,
     ||g_z||^2 = sum_i (s_i/(s_i^2 + alpha_z))^2 |beta_i|^2 with beta = U^H phi_z
     from svdt, the SVD of the same far field (checked for shape only).  The
     test functions factor over the axes, exp(-ik xhat.z) = exp(-ik x cos theta)
-    exp(-ik y sin theta), so the right-hand sides take 2 m res exponentials.
-    Each block of whole grid rows builds them and |beta|^2 once for all
-    strategies; each then picks its alpha and sums its filter factors, which
-    all come from the one SVD (Hansen 1998).  Morozov points without a
-    discrepancy root fall back to alpha = delta * sigma_1 and are counted.
+    exp(-ik y sin theta), so they take 2 h res exponentials, where h = m/2
+    for even m (the antipodal angle's value is the conjugate) and h = m for
+    odd m.  One real (2m x 2h) matrix of Q^H = [U | U_perp]^H, folded over
+    the antipodal pairs, projects the real and imaginary parts of a block
+    of whole grid rows in one real GEMM; squared and summed, its first r
+    rows are |beta|^2 and the rest give the out-of-range energy
+    ||U_perp^H phi_z||^2, empty for square data.  That is done once per
+    block for all strategies; each then picks its alpha and sums its
+    filter factors in place, which all come from the one SVD (Hansen
+    1998).  Morozov points without a discrepancy root fall back to
+    alpha = delta * sigma_1 and are counted.
     """
     if svdt.u.shape[0] != farfield.shape[0]:
         raise ValueError("decomposition does not match the far-field shape")
@@ -353,20 +365,32 @@ def lsm_indicators(farfield: FarFieldMatrix, grid: SamplingGrid, strategies,
     gnorm2 = np.empty_like(alphas)
     fallbacks = [0] * len(strategies)
     s = svdt.s
-    res, k = grid.resolution, farfield.k
-    amplitude = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
-    along_x = amplitude * np.exp(-1j * k * np.outer(np.cos(farfield.theta), grid.axis))
-    along_y = np.exp(-1j * k * np.outer(np.sin(farfield.theta), grid.axis))
+    r, (m, _), res, k = s.size, farfield.shape, grid.resolution, farfield.k
+    # phi_z = A e with |A|^2 = 1/(8 pi k); the phase of A drops out of every
+    # |.|^2.  The columns of Q^H multiply a and ib of e = a + ib, and on
+    # even m angle j + m/2 has e = a - ib, so its column folds onto j's.
+    basis = np.hstack([svdt.u, svdt.complement]).conj().T / np.sqrt(8.0 * np.pi * k)
+    on_a, on_b, h = basis, basis, m
+    if m % 2 == 0:
+        h = m // 2
+        on_a, on_b = basis[:, :h] + basis[:, h:], basis[:, :h] - basis[:, h:]
+    weights = np.stack([on_a, 1j * on_b], axis=-1).reshape(m, 2 * h)
+    weights = np.vstack([weights.real, weights.imag])
+    theta = farfield.theta[:h]
+    ex = np.exp(-1j * k * np.outer(grid.axis, np.cos(theta)))
+    ey = np.exp(-1j * k * np.outer(grid.axis, np.sin(theta)))
     rows = max(1, _CHUNK // res)
     for first in range(0, res, rows):
         start, stop = first * res, min(first + rows, res) * res
-        rhs = (along_y[:, first:first + rows, None]
-               * along_x[:, None, :]).reshape(-1, stop - start)
-        beta2 = np.abs(svdt.u.conj().T @ rhs) ** 2
+        e = (ey[first:first + rows, None, :] * ex[None, :, :]).reshape(stop - start, h)
+        y = weights @ e.view(float).T
+        np.square(y, out=y)
+        y[:m] += y[m:]
+        beta2, outside = y[:r], y[r:m].sum(axis=0)
+        filters = y[m:m + r]            # spent rows, reused for the filter sum
         for i, strategy in enumerate(strategies):
             if isinstance(strategy, Morozov):
-                alpha, no_root = _root_alpha(s, beta2, svdt.outside(rhs),
-                                             strategy.delta)
+                alpha, no_root = _root_alpha(s, beta2, outside, strategy.delta)
                 alpha[no_root] = strategy.delta * s[0]
                 fallbacks[i] += int(no_root.sum())
             elif isinstance(strategy, Constant):
@@ -374,8 +398,11 @@ def lsm_indicators(farfield: FarFieldMatrix, grid: SamplingGrid, strategies,
             else:
                 alpha = strategy.field.alpha[start:stop]
             alphas[i, start:stop] = alpha
-            filters = (s[:, None] / (s[:, None] ** 2 + alpha[None, :])) ** 2
-            gnorm2[i, start:stop] = np.sum(filters * beta2, axis=0)
+            np.add(s[:, None] ** 2, alpha[None, :], out=filters)
+            np.divide(s[:, None], filters, out=filters)
+            np.square(filters, out=filters)
+            filters *= beta2
+            filters.sum(axis=0, out=gnorm2[i, start:stop])
 
     return [LsmResult(IndicatorField(grid, 1.0 / np.sqrt(norm2)),
                       RegField(grid, alpha), count)

@@ -317,14 +317,15 @@ class TestPipeline:
         config, _, out, first, _ = pipeline
         calls = {name: _spy(monkeypatch, module, name) for module, name in (
             (deeponet, "indicator_eval"), (noisenet, "predict_delta"),
-            (regsolve, "lsm_indicators"), (regsolve, "lsm_indicator"))}
+            (regsolve, "svd"), (regsolve, "lsm_indicators"),
+            (regsolve, "lsm_indicator"))}
         again = tmp_path / "again"
         cli.cmd_reconstruct(dataclasses.replace(config, out_dir=str(again)),
                             deeponet_path=out / "deeponet_model.bin",
                             noisenet_path=out / "noisenet_model.bin")
         assert {name: len(args) for name, args in calls.items()} == {
-            "indicator_eval": 1, "predict_delta": 1, "lsm_indicators": 1,
-            "lsm_indicator": 0}
+            "indicator_eval": 1, "predict_delta": 1, "svd": 1,
+            "lsm_indicators": 1, "lsm_indicator": 0}
         solved = calls["lsm_indicators"][0][2]
         assert [type(rule) for rule in solved] == [
             regsolve.Morozov, regsolve.Constant, regsolve.Field]
@@ -338,12 +339,12 @@ class TestPipeline:
 
         config, _, out, _, _ = pipeline
         calls = [_spy(monkeypatch, module, name) for module, name in (
-            (noisenet, "load_noisenet"), (regsolve, "lsm_indicators"),
-            (regsolve, "lsm_indicator"))]
+            (noisenet, "load_noisenet"), (regsolve, "svd"),
+            (regsolve, "lsm_indicators"), (regsolve, "lsm_indicator"))]
         cli.cmd_reconstruct(dataclasses.replace(config, out_dir=str(tmp_path)),
                             strategies=("deeponet-only",),
                             deeponet_path=out / "deeponet_model.bin")
-        assert calls == [[], [], []]
+        assert calls == [[], [], [], []]
         assert sorted(path.name for path in tmp_path.glob("*_deeponet*")) == [
             "indicator_deeponet.csv", "indicator_deeponet.pgm",
             "metrics_deeponet.txt"]

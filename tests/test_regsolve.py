@@ -117,6 +117,12 @@ class TestRightHandSide:
         with pytest.raises(ValueError):
             phi_rhs((1.0, 0.0), np.array([0.0]), 0.0)
 
+    @pytest.mark.parametrize("k", NON_FINITE)
+    def test_rejects_non_finite_wavenumber(self, k):
+        """A NaN wavenumber used to give all-NaN entries after a warning."""
+        with pytest.raises(ValueError, match=f"wavenumber .*got {k}"):
+            phi_rhs((1.0, 0.0), np.array([0.0]), k)
+
 
 class TestTikhonov:
     def test_scalar_oracle(self):
@@ -335,6 +341,23 @@ def _residual_oracle_indicator(measured, grid, delta, svdt):
     return alpha, 1.0 / np.sqrt(gnorm2), int(no_root.sum())
 
 
+def _root_rtol(s, beta2, outside, delta, alpha, floor=1e-12, ulps=8.0,
+               moved=0.0):
+    """Relative error a root at alpha can be located to, at least `floor`.
+
+    The discrepancy is a sum of terms rounded to about eps times
+    sum_i |term_i| + outside; over its slope alpha d'(alpha) in log alpha,
+    with d'(alpha) = sum_i 2 s_i^2 (alpha + delta^2) / (s_i^2 + alpha)^3
+    |beta_i|^2, that is where a sign change can sit.  `ulps` covers the
+    rounding of both the finder and the oracle; `moved` is any difference
+    between the discrepancies the two solved, at alpha."""
+    s2 = (s ** 2)[:, None]
+    terms = (alpha ** 2 - delta ** 2 * s2) / (s2 + alpha) ** 2 * beta2
+    slope = np.sum(2.0 * s2 * (alpha + delta ** 2) / (s2 + alpha) ** 3 * beta2, axis=0)
+    scale = np.sum(np.abs(terms), axis=0) + outside
+    return np.maximum(floor, (moved + ulps * np.finfo(float).eps * scale) / (alpha * slope))
+
+
 def _projections(svdt, rhs):
     """beta^2 columns and out-of-range energies of right-hand sides."""
     beta = svdt.u.conj().T @ rhs
@@ -447,7 +470,8 @@ class TestRootFinder:
     def test_no_root_mask_and_fallbacks_match_bisection(self, kite_50, monkeypatch):
         """A rank-40 truncation leaves out-of-range energy, and at 0.3 delta
         only part of the grid has a root: the same points fall back as
-        under bisection."""
+        under bisection.  Near-rootless points have flat discrepancies, so
+        their roots are held to the bound their conditioning allows."""
         noisy, delta, svdt, grid = kite_50
         svdt = SvdTriple(svdt.u[:, :40], svdt.s[:40], svdt.vh[:40])
         masks = []
@@ -458,7 +482,9 @@ class TestRootFinder:
             bisected, bisect_none = _bisection_oracle(s, beta2, outside, delta)
             np.testing.assert_array_equal(no_root, bisect_none)
             rooted = ~no_root
-            np.testing.assert_allclose(root[rooted], bisected[rooted], rtol=1e-12)
+            bound = _root_rtol(s, beta2[:, rooted], outside[rooted], delta,
+                               bisected[rooted])
+            assert np.all(np.abs(root[rooted] / bisected[rooted] - 1.0) <= bound)
             masks.append(bisect_none)
             return root, no_root
 
@@ -694,6 +720,84 @@ class TestSharedPass:
         with pytest.raises(ValueError, match="different grid"):
             lsm_indicators(noisy, grid, (Morozov(delta), Field(other)), svdt)
         assert lsm_indicators(noisy, grid, (), svdt) == []
+
+
+def _complex_oracle(noisy, grid, strategies, svdt):
+    """Alphas, indicators and fallbacks from complex right-hand sides, one
+    testfunction_rhs per point, projected by U^H with |.|^2 and
+    svdt.outside, then the same root finder and filter sum.  Returns
+    (alpha, indicator, fallbacks) per strategy, |beta|^2 and the energies."""
+    s = svdt.s
+    rhs = np.column_stack([phi_rhs(z, noisy.theta, noisy.k) for z in grid.points])
+    beta2 = np.abs(svdt.u.conj().T @ rhs) ** 2
+    outside = svdt.outside(rhs)
+    results = []
+    for strategy in strategies:
+        fallbacks = 0
+        if isinstance(strategy, Morozov):
+            alpha, no_root = regsolve._root_alpha(s, beta2, outside, strategy.delta)
+            alpha[no_root] = strategy.delta * s[0]
+            fallbacks = int(no_root.sum())
+        elif isinstance(strategy, Constant):
+            alpha = np.full(grid.resolution ** 2, strategy.alpha)
+        else:
+            alpha = strategy.field.alpha
+        gnorm2 = np.sum((s[:, None] / (s[:, None] ** 2 + alpha)) ** 2 * beta2, axis=0)
+        results.append((alpha, 1.0 / np.sqrt(gnorm2), fallbacks))
+    return results, beta2, outside
+
+
+class TestRealProjection:
+    @pytest.mark.parametrize("shape", [(50, 50), (60, 40), (40, 60),
+                                       (45, 45), (61, 40), (41, 60)],
+                             ids="{0[0]}x{0[1]}".format)
+    def test_matches_complex_oracle(self, shape, monkeypatch):
+        """Even m folds antipodal angles and odd m does not; m > n leaves
+        out-of-range energy and m <= n none.  Over row blocks of 17, 17 and
+        6 rows, |beta|^2 and the out-of-range energy match the complex
+        projection to 1e-14 of ||phi_z||^2, and alphas and indicators to
+        1e-14 relative with the same fallbacks.  Near-rootless Morozov
+        roots at 0.3 delta get the bound their conditioning allows, with
+        the discrepancy moved by the projections' difference."""
+        noisy, delta, svdt, grid = _nonsquare_kite(*shape)
+        monkeypatch.setattr(regsolve, "_CHUNK", 700)
+        blocks = []
+        real = regsolve._root_alpha
+
+        def spy(s, beta2, outside, delta):
+            blocks.append((beta2.copy(), outside.copy()))
+            return real(s, beta2, outside, delta)
+
+        monkeypatch.setattr(regsolve, "_root_alpha", spy)
+        field = RegField(grid, np.linspace(1e-3, 1.0, grid.resolution ** 2) * svdt.s[0] ** 2)
+        strategies = (Morozov(delta), Constant(svdt.s[0] / 100.0), Field(field),
+                      Morozov(0.3 * delta))
+        got = lsm_indicators(noisy, grid, strategies, svdt)
+        monkeypatch.setattr(regsolve, "_root_alpha", real)
+        want, want_beta2, want_outside = _complex_oracle(noisy, grid, strategies, svdt)
+        assert [b[0].shape[1] for b in blocks] == [680, 680, 680, 680, 240, 240]
+        beta2 = np.hstack([b[0] for b in blocks[::2]])
+        outside = np.concatenate([b[1] for b in blocks[::2]])
+        norm2 = shape[0] / (8.0 * np.pi * noisy.k)
+        assert np.all(np.abs(beta2 - want_beta2) <= 1e-14 * norm2)
+        assert np.all(np.abs(outside - want_outside) <= 1e-14 * norm2)
+        assert np.all(outside == 0.0) == (shape[0] <= shape[1])
+        for result, (alpha, values, fallbacks) in zip(got, want):
+            assert result.fallback_count == fallbacks
+            np.testing.assert_allclose(result.indicator.values, values, rtol=1e-14, atol=0.0)
+        for result, (alpha, _, _) in zip(got[:3], want[:3]):
+            np.testing.assert_allclose(result.alpha.alpha, alpha, rtol=1e-14, atol=0.0)
+        alpha = want[3][0]
+        rooted = alpha != 0.3 * delta * svdt.s[0]
+        np.testing.assert_array_equal(got[3].alpha.alpha[~rooted], alpha[~rooted])
+        s2, a = (svdt.s ** 2)[:, None], alpha[rooted]
+        moved = np.abs(((a ** 2 - 0.09 * delta ** 2 * s2) / (s2 + a) ** 2
+                        * (beta2 - want_beta2)[:, rooted]).sum(axis=0)
+                       + (outside - want_outside)[rooted])
+        bound = _root_rtol(svdt.s, want_beta2[:, rooted], want_outside[rooted],
+                           0.3 * delta, a, floor=1e-14, moved=moved)
+        assert np.all(np.abs(got[3].alpha.alpha[rooted] / a - 1.0) <= bound)
+        assert (got[3].fallback_count > 0) == (shape[0] > shape[1])
 
 
 class TestFieldContainers:
