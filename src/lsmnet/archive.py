@@ -6,6 +6,8 @@ an embedded blob such as a network.  Reading goes through a `Reader`
 that checks each header and array against the bytes left before it
 touches them, so a short, long or inconsistent file raises `ValueError`
 instead of a `struct.error` or an allocation sized by a corrupt field.
+Every text artifact goes through `write_lines`, the one text layout:
+UTF-8 with one LF per line on every platform, so reruns match byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ def write(path, magic: bytes, fmt: str, header, arrays=(), tail: bytes = b"") ->
         for values, dtype in arrays:
             fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
         fh.write(tail)
+
+
+def write_lines(path, lines) -> None:
+    """The lines as UTF-8 text, each ended by one LF, the last one too."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class Reader:

@@ -156,6 +156,8 @@ def write_config(path, config: RunConfig) -> None:
     there are no timestamps or environment-dependent values, which is
     what makes rerun outputs comparable byte by byte.
     """
+    from . import archive
+
     lines = []
     for spec in fields(RunConfig):
         if spec.name == "obstacles":
@@ -164,8 +166,7 @@ def write_config(path, config: RunConfig) -> None:
                      f"{_format_value(getattr(config, spec.name))}")
     for index, obstacle in enumerate(config.obstacles):
         lines.extend(_obstacle_lines(index, obstacle))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(path, lines)
 
 
 def _int_list(text: str) -> tuple:
@@ -321,7 +322,7 @@ def _write_meta(out: Path, command: str, config: RunConfig,
     import numpy
     import scipy
 
-    from . import __version__
+    from . import __version__, archive
     from .forward import PRNG_NAME
 
     lines = [f"command = {command}",
@@ -332,9 +333,7 @@ def _write_meta(out: Path, command: str, config: RunConfig,
              f"prng = {PRNG_NAME}",
              f"seed = {config.seed}"]
     lines.extend(f"{key} = {value}" for key, value in extra)
-    with open(out / f"run_meta_{command}.txt", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(out / f"run_meta_{command}.txt", lines)
     write_config(out / "config.txt", config)
 
 
@@ -372,7 +371,7 @@ def cmd_gen(config: RunConfig) -> None:
 
 def cmd_train(config: RunConfig, which: str) -> None:
     """Fit one of the networks from the generated corpora."""
-    from . import deeponet, noisenet
+    from . import deeponet, forward, noisenet
 
     out = _outdir(config)
     if which == "deeponet":
@@ -400,7 +399,7 @@ def cmd_train(config: RunConfig, which: str) -> None:
     elif which == "noisenet":
         dataset = noisenet.load_noise_dataset(
             _input(config, "noise_dataset.bin"))
-        deeponet.check_wavelength(config.lam, dataset.k, "noise corpus")
+        forward.check_wavelength(config.lam, dataset.k, "noise corpus")
         net = noisenet.make_noisenet(config.m0, config.n0,
                                      seed=config.seed)
         started = time.perf_counter()
@@ -425,11 +424,11 @@ def cmd_train(config: RunConfig, which: str) -> None:
 
 def _load_models(config: RunConfig, deeponet_path, noisenet_path,
                  need_noise: bool):
-    from . import deeponet, noisenet
+    from . import deeponet, forward, noisenet
 
     model = deeponet.load_deeponet(
         _input(config, "deeponet_model.bin", deeponet_path))
-    deeponet.check_wavelength(model.trunk.lam, config.k)
+    forward.check_wavelength(model.trunk.lam, config.k)
     noise_model = noisenet.load_noisenet(
         _input(config, "noisenet_model.bin", noisenet_path)) \
         if need_noise else None
@@ -460,7 +459,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
     and metrics: contrast, intersection-over-union against the true
     obstacle mask at threshold 0.5, and the discrepancy-fallback count.
     """
-    from . import deeponet, geometry, noisenet, regsolve
+    from . import archive, deeponet, geometry, noisenet, regsolve
 
     chosen = tuple(dict.fromkeys(strategies)) if strategies else STRATEGIES
     for name in chosen:
@@ -521,9 +520,7 @@ def cmd_reconstruct(config: RunConfig, strategies=None, deeponet_path=None,
                         f"iou_at_half = {repr(iou)}"]
         if fallbacks is not None:
             metric_lines.append(f"fallbacks = {fallbacks}")
-        with open(out / f"metrics_{stem}.txt", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("\n".join(metric_lines) + "\n")
+        archive.write_lines(out / f"metrics_{stem}.txt", metric_lines)
         meta_extra.append((f"fallbacks_{stem}",
                            "-" if fallbacks is None else fallbacks))
         print(f"{name}: contrast {contrast:.3g}, iou {iou:.3f}"
@@ -540,7 +537,7 @@ def cmd_noise_eval(config: RunConfig, noisenet_path=None) -> None:
     each; writes one CSV row per realization and prints the mean
     relative error per obstacle, shape, and level.
     """
-    from . import forward, geometry, noisenet, nystrom
+    from . import archive, forward, geometry, noisenet, nystrom
 
     out = _outdir(config)
     noise_model = noisenet.load_noisenet(
@@ -583,9 +580,7 @@ def cmd_noise_eval(config: RunConfig, noisenet_path=None) -> None:
                 print(f"{label} {size}x{size} eta={eta:<4g} "
                       f"mean rel err {mean:.4f}")
 
-    with open(out / "noise_eval.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(out / "noise_eval.csv", lines)
     _write_meta(out, "noise_eval", config, extra=(
         ("realizations", counter),
         ("csv", "noise_eval.csv"),
@@ -601,7 +596,7 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
     the three spectra and a verdict summary, plus a sweep table of trunk
     condition numbers.
     """
-    from . import deeponet, forward, ntk
+    from . import archive, deeponet, forward, ntk
 
     out = _outdir(config)
     sweep = tuple(sorted(s_values)) if s_values else DEFAULT_NTK_SWEEP
@@ -639,9 +634,7 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
     lines = ["s,epsilon,condition"]
     lines.extend(f"{s:.17g},{eps:.17g},{kappa:.17g}"
                  for s, eps, kappa in rows)
-    with open(out / "ntk_sweep.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(out / "ntk_sweep.csv", lines)
 
     _write_meta(out, "ntk", config, extra=(
         ("p", outputs),
@@ -662,7 +655,7 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
     are shared by both strategies and excluded.  Each region is repeated,
     alternating between the strategies, and the median kept.
     """
-    from . import deeponet, regsolve
+    from . import archive, deeponet, regsolve
 
     out = _outdir(config)
     model, noise_model = _load_models(config, deeponet_path, noisenet_path,
@@ -704,9 +697,7 @@ def cmd_benchmark(config: RunConfig, sizes=None, deeponet_path=None,
     lines = ["grid,morozov_seconds,learned_seconds,speedup"]
     lines.extend(f"{size},{morozov_s:.6e},{learned_s:.6e},{speedup:.6e}"
                  for size, morozov_s, learned_s, speedup in records)
-    with open(out / "benchmark.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(out / "benchmark.csv", lines)
     _write_meta(out, "benchmark", config, extra=(
         ("repeats", BENCHMARK_REPEATS),
         ("sizes", ",".join(str(size) for size in chosen)),

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import archive, nn, noisenet
-from .forward import FarFieldMatrix, disk_farfields, fourier_resample
+from .forward import (FarFieldMatrix, check_wavelength, check_wavenumber,
+                      disk_farfields, fourier_resample)
 from .regsolve import IndicatorField, RegField, SamplingGrid, tensor_points
 
 logger = logging.getLogger(__name__)
@@ -172,8 +173,7 @@ class TrainingSet:
             raise ValueError("labels must be a binary (count, p_h) array")
         if np.any(self.radii <= 0.0):
             raise ValueError("radii must be positive")
-        if not np.isfinite(self.k) or self.k <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.k}")
+        check_wavenumber(self.k)
 
     @property
     def count(self) -> int:
@@ -210,14 +210,6 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     return TrainingSet(matrices, positions, radii, labels, float(k))
 
 
-def check_wavelength(lam: float, k: float, what: str = "far field") -> None:
-    """Refuse data at wavenumber k for a model built at wavelength lam."""
-    wavelength = 2.0 * np.pi / k
-    if abs(wavelength - lam) > 1e-6 * lam:
-        raise ValueError(f"{what} at wavelength {wavelength:.6g} fed to a "
-                         f"model built for {lam:.6g}")
-
-
 def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
                    epochs: int = 300, batch_size: int = 64,
                    lr_start: float = 1e-3, lr_end: float = 1e-5,
@@ -242,17 +234,16 @@ def train_deeponet(model: RbfDeepOnet, training_set: TrainingSet, seed: int,
         return []
 
     count = training_set.count
-    features = np.concatenate(
-        [training_set.matrices.real.reshape(count, -1),
-         training_set.matrices.imag.reshape(count, -1)], axis=1)
-    targets = training_set.labels.astype(float)
-    gram = trunk_eval(model.trunk, model.trunk.centers)
-
     params = nn.parameters(model.branch)
     steps_per_epoch = -(-count // batch_size)
     schedule = nn.LrSchedule(lr_start, lr_end, epochs * steps_per_epoch)
     state = nn.make_adam(params, lr_start, weight_decay=weight_decay,
                          decoupled=decoupled)
+    features = np.concatenate(
+        [training_set.matrices.real.reshape(count, -1),
+         training_set.matrices.imag.reshape(count, -1)], axis=1)
+    targets = training_set.labels.astype(float)
+    gram = trunk_eval(model.trunk, model.trunk.centers)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     losses = []
@@ -359,8 +350,5 @@ def load_training_set(path) -> TrainingSet:
 
 
 def write_loss_csv(path, losses) -> None:
-    lines = ["epoch,loss"]
-    for epoch, loss in enumerate(losses, start=1):
-        lines.append(f"{epoch},{loss:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(path, ["epoch,loss"] + [
+        f"{epoch},{loss:.17g}" for epoch, loss in enumerate(losses, start=1)])

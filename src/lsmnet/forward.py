@@ -4,7 +4,8 @@ The far-field matrix discretizes the far-field operator on equispaced
 angle grids: rows are observation directions theta_i = 2*pi*i/m, columns
 are incidence directions phi_j = 2*pi*j/n.  All entries are complex and
 the wavenumber k travels with the matrix so that downstream solvers never
-have to guess it.
+have to guess it; `check_wavenumber` and `check_wavelength` are the one
+home of the rules every module applies to k and to a model's wavelength.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ def incidence_angles(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def check_wavenumber(k: float) -> None:
+    """Refuse a wavenumber that is not positive and finite (NaN included)."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+
+
+def check_wavelength(lam: float, k: float, what: str = "far field") -> None:
+    """Refuse data at wavenumber k for a model built at wavelength lam."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"wavelength must be positive and finite, got {lam}")
+    check_wavenumber(k)
+    wavelength = 2.0 * math.pi / k
+    if abs(wavelength - lam) > 1e-6 * lam:
+        raise ValueError(f"{what} at wavelength {wavelength:.6g} fed to a "
+                         f"model built for {lam:.6g}")
+
+
 @dataclass(frozen=True)
 class FarFieldMatrix:
     """entries[i, j] = u_inf(theta_i; phi_j) on the canonical grids of its shape."""
@@ -48,8 +66,7 @@ class FarFieldMatrix:
         if entries.ndim != 2 or min(entries.shape) < _MIN_ANGLES:
             raise ValueError(f"entries must be a 2-d array with at least "
                              f"{_MIN_ANGLES} angles per axis")
-        if not np.isfinite(self.k) or self.k <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.k}")
+        check_wavenumber(self.k)
         if not np.all(np.isfinite(entries)):
             raise ValueError("far-field entries contain non-finite values")
         object.__setattr__(self, "entries", entries)
@@ -140,8 +157,7 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
         i = bad[0]
         raise ValueError(f"disk {i}: center {centers[i].tolist()} and radius "
                          f"{radii[i]!r} must be finite, the radius positive")
-    if not np.isfinite(k) or k <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     kr = k * radii
     orders = np.ceil(kr).astype(int) + 20
 
@@ -185,8 +201,9 @@ def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray
     lambda_p = -sqrt(8*pi/k) * exp(-i*pi/4) * J_p(kR)/H_p(kR), p = 0..p_max.
     The eigenvalue of order -p coincides with that of order p.
     """
-    if radius <= 0.0 or k <= 0.0:
-        raise ValueError("radius and wavenumber must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    check_wavenumber(k)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
     ratios = _ratio_table(np.array([k * radius]), np.array([p_max]))[0]

@@ -15,7 +15,7 @@ each pair of boundaries, both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -32,6 +32,16 @@ def _stack(x, y):
     return np.stack([x, y], axis=-1)
 
 
+def _check_fields(obstacle) -> None:
+    """Every field finite and every size positive, or ValueError naming it."""
+    for spec in fields(obstacle):
+        value = getattr(obstacle, spec.name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{spec.name} must be finite, got {value!r}")
+        if spec.name not in ("center", "rotation") and not value > 0:
+            raise ValueError(f"{spec.name} must be > 0, got {value!r}")
+
+
 # Each obstacle is its own counterclockwise boundary curve, period 2*pi:
 # position, derivative and second derivative map an array of parameters
 # t to an array of shape t.shape + (2,).
@@ -41,9 +51,7 @@ class Disk:
     center: tuple[float, float]
     radius: float
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+    __post_init__ = _check_fields
 
     def position(self, t):
         return np.add(self.center, self.radius * _stack(np.cos(t), np.sin(t)))
@@ -62,9 +70,7 @@ class Ellipse:
     semi_axis_b: float
     rotation: float = 0.0
 
-    def __post_init__(self):
-        if not (self.semi_axis_a > 0 and self.semi_axis_b > 0):
-            raise ValueError("semi-axes must be > 0")
+    __post_init__ = _check_fields
 
     def _rotate(self, x, y):
         cr, sr = np.cos(self.rotation), np.sin(self.rotation)
@@ -93,9 +99,7 @@ class Kite:
     center: tuple[float, float]
     scale: float
 
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+    __post_init__ = _check_fields
 
     def position(self, t):
         x = np.cos(t) + 0.65 * np.cos(2 * t) - 0.65

@@ -69,10 +69,7 @@ def parameters(mlp: Mlp) -> list:
     The returned arrays are the live model parameters, so optimizer
     updates applied to them train the model in place.
     """
-    params = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        params.extend([w, b])
-    return params
+    return [p for pair in zip(mlp.weights, mlp.biases) for p in pair]
 
 
 def _as_batch(x: np.ndarray, d_in: int):
@@ -179,8 +176,10 @@ class LrSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if self.lr_start <= 0.0 or self.lr_end <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_start", "lr_end"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.lr_end > self.lr_start:
             raise ValueError("schedule must not increase the learning rate")
         if self.total_steps < 1:
@@ -213,10 +212,11 @@ class AdamState:
 
 def make_adam(params: list, base_lr: float, weight_decay: float = 0.0,
               decoupled: bool = True) -> AdamState:
-    if base_lr <= 0.0:
-        raise ValueError(f"learning rate must be positive, got {base_lr}")
-    if weight_decay < 0.0:
-        raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
+    if not (np.isfinite(base_lr) and base_lr > 0.0):
+        raise ValueError(f"learning rate must be positive and finite, got {base_lr}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0.0):
+        raise ValueError(f"weight decay must be nonnegative and finite, "
+                         f"got {weight_decay}")
     state = AdamState(base_lr=float(base_lr), weight_decay=float(weight_decay),
                       decoupled=bool(decoupled))
     state.m = [np.zeros_like(p) for p in params]
@@ -271,9 +271,8 @@ def mlp_to_bytes(mlp: Mlp) -> bytes:
              struct.pack(f"<{len(mlp.sizes)}I", *mlp.sizes),
              struct.pack("<BB", ACTIVATIONS.index(mlp.activation),
                          OUTPUTS.index(mlp.output))]
-    for w, b in zip(mlp.weights, mlp.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    for p in parameters(mlp):
+        parts.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
     return b"".join(parts)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import archive, nn
 # fold_to_shape is re-exported: it is the estimator's documented input map.
-from .forward import (FarFieldMatrix, add_noise, disk_farfields, estimator_input,
-                      fold_to_shape)
+from .forward import (FarFieldMatrix, add_noise, check_wavenumber, disk_farfields,
+                      estimator_input, fold_to_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -108,8 +108,7 @@ class NoiseDataset:
                 raise ValueError("dataset arrays disagree on sample count")
         if np.any(self.etas <= 0.0) or np.any(self.radii <= 0.0):
             raise ValueError("noise levels and radii must be positive")
-        if not np.isfinite(self.k) or self.k <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.k}")
+        check_wavenumber(self.k)
 
     @property
     def count(self) -> int:
@@ -168,12 +167,12 @@ def train_noisenet(net: NoiseNet, dataset: NoiseDataset, epochs: int = 300,
         raise ValueError("dataset features do not match the network input")
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
+    params = nn.parameters(net.mlp)
+    state = nn.make_adam(params, lr, weight_decay=weight_decay, decoupled=decoupled)
     net.label_min = float(dataset.labels.min())
     net.label_max = float(dataset.labels.max())
 
     targets = dataset.labels[:, None]
-    params = nn.parameters(net.mlp)
-    state = nn.make_adam(params, lr, weight_decay=weight_decay, decoupled=decoupled)
     losses = []
     for epoch in range(epochs):
         trace = nn.forward_trace(net.mlp, dataset.features)

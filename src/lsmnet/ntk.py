@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import archive, nn
 from .deeponet import RbfTrunk, make_trunk, trunk_eval
 from .nn import Mlp
 
@@ -236,8 +236,7 @@ def write_spectrum_csv(path, report: NtkReport) -> None:
                          ("trunk_sv", report.singular_values_trunk)):
         for index, value in enumerate(values):
             lines.append(f"{name},{index},{value:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    archive.write_lines(path, lines)
 
 
 def report_summary(report: NtkReport) -> str:
@@ -256,5 +255,4 @@ def report_summary(report: NtkReport) -> str:
 
 
 def write_summary_txt(path, report: NtkReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_summary(report))
+    archive.write_lines(path, report_summary(report).splitlines())

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import FarFieldMatrix, incidence_angles, observation_angles
+from .forward import (FarFieldMatrix, check_wavenumber, incidence_angles,
+                      observation_angles)
 from .geometry import Obstacle, Scene
 from .specialfn import bessel_j, bessel_y
 
@@ -38,10 +39,7 @@ def kress_weights(n: int) -> np.ndarray:
         raise ValueError(f"need n >= 1 quadrature half-points, got {n}")
     s = np.pi * np.arange(2 * n) / n
     m = np.arange(1, n)
-    if n > 1:
-        series = np.sum(np.cos(np.outer(s, m)) / m, axis=1)
-    else:
-        series = np.zeros(2 * n)
+    series = np.sum(np.cos(np.outer(s, m)) / m, axis=1)
     return -(2.0 * np.pi / n) * series - (np.pi / n ** 2) * np.cos(n * s)
 
 
@@ -166,8 +164,7 @@ def nystrom_farfield(scene: Scene, k: float, m: int, n: int,
                      quadrature_points: int = 128) -> FarFieldMatrix:
     """Far-field matrix of a scene of sound-soft obstacles, solved with an
     even number quadrature_points of quadrature points per boundary."""
-    if not (np.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+    check_wavenumber(k)
     if quadrature_points < _MIN_QUADRATURE or quadrature_points % 2:
         raise ValueError(
             f"quadrature_points must be even and >= {_MIN_QUADRATURE}, "

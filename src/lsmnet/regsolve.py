@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .forward import FarFieldMatrix
+from . import archive
+from .forward import FarFieldMatrix, check_wavenumber
 
 # Bracket for the discrepancy root, relative to sigma_1^2: 22 decades, on
 # which a missing sign change means a rootless instance.  Points without
@@ -77,8 +78,7 @@ class SamplingGrid:
     resolution: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.halfwidth) and self.halfwidth > 0.0):
-            raise ValueError(f"halfwidth must be finite and positive, got {self.halfwidth}")
+        _check_positive(self.halfwidth, "halfwidth")
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
@@ -147,8 +147,7 @@ def testfunction_rhs(z, theta: np.ndarray, k: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise ValueError("sampling point must be a 2-vector")
-    if not (np.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+    check_wavenumber(k)
     xhat = np.column_stack([np.cos(theta), np.sin(theta)])
     amplitude = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * k)
     return amplitude * np.exp(-1j * k * (xhat @ z[:, None]))[:, 0]
@@ -439,8 +438,8 @@ def write_field_csv(path, grid: SamplingGrid, values: np.ndarray) -> None:
     flat = [None] * (2 * values.size)
     flat[::2] = grid.csv_prefixes
     flat[1::2] = values.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,value\n" + ("%s%.17g\n" * values.size) % tuple(flat))
+    rows = ("%s%.17g\n" * values.size)[:-1] % tuple(flat)
+    archive.write_lines(path, ("x,y,value", rows))
 
 
 def write_field_pgm(path, grid: SamplingGrid, values: np.ndarray) -> None:

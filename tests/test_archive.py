@@ -249,3 +249,14 @@ def test_nds1_layout(tmp_path):
     _check_arrays(blob, 24, [("<f8", dataset.features), ("<f8", dataset.labels),
                              ("<f8", dataset.etas), ("<f8", dataset.radii),
                              ("<f8", dataset.deltas)])
+
+
+def test_write_lines_is_utf8_with_one_lf_per_line(tmp_path):
+    path = tmp_path / "lines.txt"
+    archive.write_lines(path, ["x,y,value", "λ = 2π/k", "", "last"])
+    assert path.read_bytes() == \
+        b"x,y,value\n\xce\xbb = 2\xcf\x80/k\n\nlast\n"
+    # A line that carries its own newlines, as the CSV rows do, gets
+    # only the one final LF added.
+    archive.write_lines(path, ("header", "a\nb"))
+    assert path.read_bytes() == b"header\na\nb\n"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsmnet import cli
+from lsmnet import archive, cli, nn
 from lsmnet.cli import (
     RunConfig,
     default_config,
@@ -159,6 +159,24 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="spacing h must be finite"):
             main(["gen", "--config", str(path), "--out", str(out)])
         assert not (out / "deeponet_dataset.bin").exists()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("center_x", "nan", "center must be finite, got \\(nan, 0.0\\)"),
+        ("center_y", "-inf", "center must be finite, got \\(0.0, -inf\\)"),
+        ("scale", "inf", "scale must be finite, got inf"),
+    ])
+    def test_non_finite_obstacle_field_fails_before_any_file(
+            self, key, value, match, tmp_path):
+        entries = {"center_x": "0.0", "center_y": "0.0", "scale": "0.8",
+                   key: value}
+        path = tmp_path / "cfg.txt"
+        path.write_text("obstacle.0.type = kite\n" + "".join(
+            f"obstacle.0.{name} = {text}\n" for name, text in entries.items()))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            main(["reconstruct", "--config", str(path), "--out", str(out),
+                  "--strategy", "constant"])
+        assert not out.exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -401,6 +419,52 @@ class TestPipeline:
             cli.cmd_reconstruct(dataclasses.replace(config, lam=lam),
                                 strategies=("constant",))
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["reconstruct", "train-noisenet"])
+    def test_non_finite_wavelength_is_refused_before_any_file(
+            self, pipeline, lam, command, tmp_path):
+        """The default strategies check the model's wavelength against
+        k = 2 pi / lam (0 at lam = inf), and `train noisenet` checks lam
+        against its corpus; each refuses the operand by name."""
+        config, _, out, _, _ = pipeline
+        other = dataclasses.replace(config, lam=lam, out_dir=str(tmp_path))
+        match = r"wave(number|length) must be positive and finite, got"
+        if command == "reconstruct":
+            with pytest.raises(ValueError, match=match):
+                cli.cmd_reconstruct(other,
+                                    deeponet_path=out / "deeponet_model.bin",
+                                    noisenet_path=out / "noisenet_model.bin")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            shutil.copy(out / "noise_dataset.bin", tmp_path)
+            with pytest.raises(ValueError, match=match):
+                cli.cmd_train(other, "noisenet")
+            assert [p.name for p in tmp_path.iterdir()] == ["noise_dataset.bin"]
+
+    @pytest.mark.parametrize("which, key, value, match", [
+        ("noisenet", "noisenet_lr", math.nan,
+         "learning rate must be positive and finite, got nan"),
+        ("noisenet", "noisenet_weight_decay", math.inf,
+         "weight decay must be nonnegative and finite, got inf"),
+        ("deeponet", "deeponet_lr_start", math.nan,
+         "lr_start must be positive and finite, got nan"),
+        ("deeponet", "deeponet_weight_decay", math.inf,
+         "weight decay must be nonnegative and finite, got inf"),
+    ])
+    def test_non_finite_optimizer_setting_is_refused_before_training(
+            self, pipeline, which, key, value, match, tmp_path, monkeypatch):
+        config, _, out, _, _ = pipeline
+        corpus = {"deeponet": "deeponet_dataset.bin",
+                  "noisenet": "noise_dataset.bin"}[which]
+        shutil.copy(out / corpus, tmp_path)
+        steps = _spy(monkeypatch, nn, "adam_step")
+        other = dataclasses.replace(config, out_dir=str(tmp_path),
+                                    **{key: value})
+        with pytest.raises(ValueError, match=match):
+            cli.cmd_train(other, which)
+        assert steps == []
+        assert [p.name for p in tmp_path.iterdir()] == [corpus]
+
     @pytest.mark.parametrize("command", [cli.cmd_reconstruct,
                                          cli.cmd_benchmark],
                              ids=["reconstruct", "benchmark"])
@@ -440,6 +504,37 @@ class TestPipeline:
         empty = dataclasses.replace(config, out_dir=str(tmp_path / "fresh"))
         with pytest.raises(FileNotFoundError, match="lsmnet gen"):
             cli.cmd_train(empty, "deeponet")
+
+
+class TestOneTextWriter:
+    def test_every_text_artifact_goes_through_write_lines(
+            self, tmp_path, monkeypatch):
+        """Each command's .txt and .csv files are written by
+        archive.write_lines, the one UTF-8/LF text layout."""
+        config = _tiny_config(tmp_path / "out")
+        written = _spy(monkeypatch, archive, "write_lines")
+        monkeypatch.setattr(cli, "_NOISE_EVAL_SIZES", (12,))
+        monkeypatch.setattr(cli, "_NOISE_EVAL_ETAS", (0.1,))
+        monkeypatch.setattr(cli, "_NOISE_EVAL_SEEDS", 1)
+        cli.cmd_gen(config)
+        cli.cmd_train(config, "deeponet")
+        cli.cmd_train(config, "noisenet")
+        cli.cmd_reconstruct(config)
+        cli.cmd_noise_eval(config)
+        cli.cmd_ntk(config, s_values=(0.5,))
+        cli.cmd_benchmark(config, sizes=(6,))
+        out = Path(config.out_dir)
+        texts = {p.name for p in out.iterdir() if p.suffix in (".txt", ".csv")}
+        assert {Path(args[0]).name for args in written} == texts
+        assert all(Path(args[0]).parent == out for args in written)
+        assert {"config.txt", "deeponet_loss.csv", "indicator_learned.csv",
+                "metrics_morozov.txt", "noise_eval.csv", "ntk_sweep.csv",
+                "ntk_summary_0.txt", "benchmark.csv"} <= texts
+        for path in out.iterdir():
+            if path.suffix in (".txt", ".csv"):
+                data = path.read_bytes()
+                assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+                assert b"\r" not in data
 
 
 class TestNoiseEval:

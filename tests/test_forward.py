@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lsmnet import forward
-from lsmnet.forward import (FarFieldMatrix, add_noise, disk_farfield,
-                            disk_farfields, fold_to_shape, fourier_resample, incidence_angles,
+from lsmnet.forward import (FarFieldMatrix, add_noise, check_wavelength,
+                            check_wavenumber, disk_farfield, disk_farfields,
+                            fold_to_shape, fourier_resample, incidence_angles,
                             observation_angles, operator_eigenvalues_disk,
                             spectral_norm)
 from lsmnet.specialfn import ORDER_CAP, bessel_j, hankel1
@@ -219,6 +220,40 @@ class TestBatchedDisks:
     def test_one_disk_call_refuses_what_the_batch_refuses(self, center, radius, k, match):
         with pytest.raises(ValueError, match=match):
             disk_farfield(center, radius, k, 8, 8)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_wavenumber_and_wavelength_operands_are_refused_by_name(value):
+    with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
+        check_wavenumber(value)
+    with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
+        check_wavelength(1.0, value)
+    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+        check_wavelength(value, K)
+
+
+def test_wavelength_check_passes_the_model_wavelength_only():
+    check_wavelength(1.0, K)
+    check_wavenumber(K)
+    with pytest.raises(ValueError, match=r"training set at wavelength 0\.5 fed "
+                                         r"to a model built for 1\b"):
+        check_wavelength(1.0, 2.0 * K, "training set")
+    # A wavenumber so small that 2 pi / k overflows is a mismatch, not a pass.
+    with pytest.raises(ValueError, match="at wavelength inf"):
+        check_wavelength(1.0, 1e-320)
+
+
+@pytest.mark.parametrize("radius, k, match", [
+    (np.nan, K, "radius must be positive and finite, got nan"),
+    (np.inf, K, "radius must be positive and finite, got inf"),
+    (0.0, K, "radius must be positive and finite, got 0.0"),
+    (0.5, np.nan, "wavenumber must be positive and finite, got nan"),
+    (0.5, np.inf, "wavenumber must be positive and finite, got inf"),
+    (0.5, -1.0, "wavenumber must be positive and finite, got -1.0"),
+])
+def test_eigenvalues_refuse_bad_radius_and_wavenumber_by_name(radius, k, match):
+    with pytest.raises(ValueError, match=match):
+        operator_eigenvalues_disk(radius, k, 5)
 
 
 def test_eigenvalue_decay_and_tail():

@@ -459,6 +459,39 @@ def test_scene_rejects_bad_shapes():
         Scene(obstacles=())
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda v: Disk(center=(v, 0.0), radius=1.0), "center must be finite"),
+    (lambda v: Disk(center=(0.0, v), radius=1.0), "center must be finite"),
+    (lambda v: Disk(center=(0.0, 0.0), radius=v), "radius must be"),
+    (lambda v: Ellipse(center=(v, 0.0), semi_axis_a=1.0, semi_axis_b=0.5),
+     "center must be finite"),
+    (lambda v: Ellipse(center=(0.0, 0.0), semi_axis_a=v, semi_axis_b=0.5),
+     "semi_axis_a must be"),
+    (lambda v: Ellipse(center=(0.0, 0.0), semi_axis_a=1.0, semi_axis_b=v),
+     "semi_axis_b must be"),
+    (lambda v: Ellipse(center=(0.0, 0.0), semi_axis_a=1.0, semi_axis_b=0.5,
+                       rotation=v), "rotation must be finite"),
+    (lambda v: Kite(center=(0.0, v), scale=0.8), "center must be finite"),
+    (lambda v: Kite(center=(0.0, 0.0), scale=v), "scale must be"),
+], ids=["disk-cx", "disk-cy", "disk-radius", "ellipse-cx", "ellipse-a",
+        "ellipse-b", "ellipse-rotation", "kite-cy", "kite-scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_obstacles_refuse_non_finite_fields_by_name(make, match, value):
+    with pytest.raises(ValueError, match=f"{match}.*got .*{value}"):
+        make(value)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Disk(center=(0.0, 0.0), radius=-1.0), "radius must be > 0, got -1.0"),
+    (lambda: Ellipse(center=(0.0, 0.0), semi_axis_a=1.0, semi_axis_b=0.0),
+     "semi_axis_b must be > 0, got 0.0"),
+    (lambda: Kite(center=(0.0, 0.0), scale=-0.5), "scale must be > 0, got -0.5"),
+], ids=["disk", "ellipse", "kite"])
+def test_obstacles_name_a_non_positive_size(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_scene_rejects_overlap_and_escape():
     with pytest.raises(ValueError):
         Scene(obstacles=(Disk(center=(0.0, 0.0), radius=1.0),

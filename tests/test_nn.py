@@ -236,6 +236,13 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             LrSchedule(0.1, 1.0, 10)
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"lr_start must be positive "
+                                                 f"and finite, got {bad}"):
+                LrSchedule(bad, 1e-5, 10)
+            with pytest.raises(ValueError, match=f"lr_end must be positive "
+                                                 f"and finite, got {bad}"):
+                LrSchedule(1e-3, bad, 10)
         with pytest.raises(ValueError):
             LrSchedule(1.0, 0.1, 0)
         with pytest.raises(ValueError):
@@ -351,6 +358,13 @@ class TestAdam:
             make_adam([np.zeros(1)], 0.0)
         with pytest.raises(ValueError):
             make_adam([np.zeros(1)], 1e-3, weight_decay=-1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"learning rate must be "
+                                                 f"positive and finite, got {bad}"):
+                make_adam([np.zeros(1)], bad)
+            with pytest.raises(ValueError, match=f"weight decay must be "
+                                                 f"nonnegative and finite, got {bad}"):
+                make_adam([np.zeros(1)], 1e-3, weight_decay=bad)
         state = make_adam([np.zeros(1)], 1e-3)
         with pytest.raises(ValueError):
             adam_step(state, [np.zeros(1), np.zeros(1)], [np.zeros(1)])
