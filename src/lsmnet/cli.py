@@ -338,7 +338,7 @@ def _write_meta(out: Path, command: str, config: RunConfig,
 
 
 def cmd_gen(config: RunConfig) -> None:
-    """Write both training corpora and a manifest of what was drawn."""
+    """Draw both training corpora, then write them and a manifest of the draws."""
     from . import deeponet, noisenet
 
     out = _outdir(config)
@@ -347,14 +347,13 @@ def cmd_gen(config: RunConfig) -> None:
     training = deeponet.gen_training_set(
         trunk, config.k, config.m0, config.n0, seed=config.seed,
         radius_range=(config.radius_min, config.radius_max))
-    deeponet.save_training_set(out / "deeponet_dataset.bin", training)
-
     noise_seed = config.seed + 1
     dataset = noisenet.gen_noise_dataset(
         config.k, config.m0, config.n0, seed=noise_seed,
         count=config.noise_count,
         eta_range=(config.eta_min, config.eta_max),
         radius_range=(config.radius_min, config.radius_max))
+    deeponet.save_training_set(out / "deeponet_dataset.bin", training)
     noisenet.save_noise_dataset(out / "noise_dataset.bin", dataset)
 
     _write_meta(out, "gen", config, extra=(

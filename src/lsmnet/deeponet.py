@@ -192,8 +192,8 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     if radius_range is None:
         radius_range = (0.5 * trunk.lam, 1.5 * trunk.lam)
     r_lo, r_hi = radius_range
-    if not 0.0 < r_lo <= r_hi:
-        raise ValueError(f"bad radius range {radius_range}")
+    if not 0.0 < r_lo <= r_hi < np.inf:
+        raise ValueError(f"radius range {radius_range} must be finite, 0 < low <= high")
     rng = np.random.Generator(np.random.PCG64(seed))
     halfwidth = trunk.lam * trunk.L
     positions = tensor_points(np.linspace(-halfwidth, halfwidth,

@@ -100,8 +100,7 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 # Disks per block of disk_farfields: about this many matrix entries (72
-# disks at 30 x 30), so each of a block's three complex temporaries is
-# about 1 MB.  Larger blocks were no faster and held more memory.
+# disks at 30 x 30, 1 MB of translation factors); larger were no faster.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -132,14 +131,15 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
                 * sum_{|p| <= N} (J_p(kR)/H_p(kR)) * exp(i*p*(theta - phi))
 
     where H_p is the first-kind Hankel function.  The series is symmetric
-    in p, so it collapses to a cosine sum over p >= 0, and the translation
-    factor exp(i*k*(d - x).c) moves the centered solution to center c.
-    Each disk is summed to its own N = ceil(kR) + 20, well past the eight
-    orders beyond kR that full double accuracy needs.  Disks go in blocks
-    of about _BLOCK_ENTRIES entries: a block shares one ratio table, whose
-    entries past a disk's N are exact zeros, and one cosine table per
-    order, and each disk's sum runs over p in the same order as for a
-    single disk, so every entry is independent of the batch it came in.
+    in p, so it collapses to a cosine sum over p >= 0.  On the canonical
+    grids theta - phi takes only the L = lcm(m, n) values 2*pi*l/L, so a
+    disk's series is summed once per l and gathered at l = (i*L/m - j*L/n)
+    mod L; exp(i*k*(d - x).c) then moves it to center c.  Each disk is
+    summed to its own N = ceil(kR) + 20, well past the eight orders beyond
+    kR that full double accuracy needs.  Disks go in blocks of about
+    _BLOCK_ENTRIES entries sharing one ratio table (exact zeros past each
+    disk's N) and one cosine table per order; each disk's sum runs over p
+    in the order it would alone, so no entry depends on its batch.
     """
     try:
         centers = np.asarray(centers, dtype=float)
@@ -163,30 +163,29 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
 
     theta = observation_angles(m)
     phi = incidence_angles(n)
-    diff = theta[:, None] - phi[None, :]
+    L = math.lcm(m, n)
+    psi = 2.0 * np.pi * np.arange(L) / L
+    index = np.arange(m)[:, None] * (L // m) - np.arange(n) * (L // n)
     amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
     out = np.empty((kr.size, m, n), dtype=complex)
     size = max(1, _BLOCK_ENTRIES // (m * n))
     for lo in range(0, kr.size, size):
         block = slice(lo, lo + size)
         ratios = _ratio_table(kr[block], orders[block])
-        series = np.empty((ratios.shape[0], m, n), dtype=complex)
-        series[:] = ratios[:, 0, None, None]
-        term = np.empty_like(series)
+        series = np.full((ratios.shape[0], L), ratios[:, :1])
         for p in range(1, ratios.shape[1]):
-            series += np.multiply((2.0 * ratios[:, p])[:, None, None],
-                                  np.cos(p * diff), out=term)
-        del term
+            series += (2.0 * ratios[:, p])[:, None] * np.cos(p * psi)
         # exp(i*k*(d - x).c) factors into an outer product per disk.
         c = centers[block]
         xhat_dot_c = c[:, :1] * np.cos(theta) + c[:, 1:] * np.sin(theta)
         dhat_dot_c = c[:, :1] * np.cos(phi) + c[:, 1:] * np.sin(phi)
         shift = (np.exp(-1j * k * xhat_dot_c)[:, :, None]
                  * np.exp(1j * k * dhat_dot_c)[:, None, :])
-        # amplitude * shift * series, in that operand order: the fused
-        # complex product is not bitwise commutative.
+        # Gather series[l mod L] ("wrap"), then amplitude * shift * series in
+        # that operand order: the fused complex product is not bitwise commutative.
         np.multiply(amplitude, shift, out=shift)
-        np.multiply(shift, series, out=out[block])
+        np.take(series, index, axis=1, out=out[block], mode="wrap")
+        np.multiply(shift, out[block], out=out[block])
     return out
 
 

@@ -33,9 +33,11 @@ def _stack(x, y):
 
 
 def _check_fields(obstacle) -> None:
-    """Every field finite and every size positive, or ValueError naming it."""
+    """Finite fields, positive sizes, a 2-vector center; else ValueError naming it."""
     for spec in fields(obstacle):
         value = getattr(obstacle, spec.name)
+        if spec.name == "center" and np.shape(value) != (2,):
+            raise ValueError(f"center must have two coordinates, got {value!r}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{spec.name} must be finite, got {value!r}")
         if spec.name not in ("center", "rotation") and not value > 0:

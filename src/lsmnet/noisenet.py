@@ -127,10 +127,10 @@ def gen_noise_dataset(k: float, m0: int, n0: int, seed: int, count: int = 400,
     """
     e_lo, e_hi = eta_range
     r_lo, r_hi = radius_range
-    if not 0.0 < e_lo <= e_hi:
-        raise ValueError(f"bad noise range {eta_range}")
-    if not 0.0 < r_lo <= r_hi:
-        raise ValueError(f"bad radius range {radius_range}")
+    if not 0.0 < e_lo <= e_hi < np.inf:
+        raise ValueError(f"noise range {eta_range} must be finite, 0 < low <= high")
+    if not 0.0 < r_lo <= r_hi < np.inf:
+        raise ValueError(f"radius range {radius_range} must be finite, 0 < low <= high")
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
     _check_native_shape(m0, n0)

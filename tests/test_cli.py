@@ -160,6 +160,19 @@ class TestConfigFile:
             main(["gen", "--config", str(path), "--out", str(out)])
         assert not (out / "deeponet_dataset.bin").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key, match", [("radius_max", "radius range"),
+                                            ("eta_max", "noise range")])
+    def test_gen_refuses_non_finite_corpus_range_before_any_corpus(
+            self, key, match, value, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"L = 1.5\nm0 = 12\nn0 = 12\n{key} = {value}\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"{match} \(.*{value}\) must "
+                                             r"be finite"):
+            main(["gen", "--config", str(path), "--out", str(out)])
+        assert not list(out.glob("*.bin"))
+
     @pytest.mark.parametrize("key, value, match", [
         ("center_x", "nan", "center must be finite, got \\(nan, 0.0\\)"),
         ("center_y", "-inf", "center must be finite, got \\(0.0, -inf\\)"),

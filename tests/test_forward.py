@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,12 +17,8 @@ from lsmnet.specialfn import ORDER_CAP, bessel_j, hankel1
 K = 2.0 * np.pi
 
 
-def scalar_disk_farfield(center, radius, k, m, n):
-    """Oracle: the one-disk separated series, one scalar ratio per order.
-
-    This is the series as it was summed before disks were batched; every
-    batched entry must equal it bit for bit.
-    """
+def _disk_series_parts(center, radius, k, m, n):
+    """One disk's scalar ratios J_p/H_p, translation and amplitude."""
     center = np.asarray(center, dtype=float)
     truncation = int(np.ceil(k * radius)) + 20
     theta = observation_angles(m)
@@ -29,15 +26,62 @@ def scalar_disk_farfield(center, radius, k, m, n):
     kr = k * radius
     ratios = np.array([bessel_j(p, kr) / hankel1(p, kr)
                        for p in range(truncation + 1)])
-    diff = theta[:, None] - phi[None, :]
-    series = np.full((m, n), ratios[0], dtype=complex)
-    for p in range(1, truncation + 1):
-        series += 2.0 * ratios[p] * np.cos(p * diff)
     xhat_dot_c = center[0] * np.cos(theta) + center[1] * np.sin(theta)
     dhat_dot_c = center[0] * np.cos(phi) + center[1] * np.sin(phi)
     shift = np.exp(-1j * k * xhat_dot_c)[:, None] * np.exp(1j * k * dhat_dot_c)[None, :]
     amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    return amplitude * shift * series
+    return ratios, amplitude * shift
+
+
+def scalar_disk_farfield(center, radius, k, m, n):
+    """Oracle: the one-disk series, summed once per difference angle.
+
+    theta_i - phi_j takes the L = lcm(m, n) values 2 pi l / L with
+    l = (i L/m - j L/n) mod L; the series is summed on those and
+    gathered.  Every batched entry must equal it bit for bit.
+    """
+    ratios, scale = _disk_series_parts(center, radius, k, m, n)
+    size = math.lcm(m, n)
+    psi = 2.0 * np.pi * np.arange(size) / size
+    series = np.full(size, ratios[0], dtype=complex)
+    for p in range(1, ratios.size):
+        series += 2.0 * ratios[p] * np.cos(p * psi)
+    index = (np.arange(m)[:, None] * (size // m)
+             - np.arange(n)[None, :] * (size // n)) % size
+    return scale * series[index]
+
+
+def grid_disk_farfield(center, radius, k, m, n):
+    """Reference: the same series summed at every (i, j) entry's own
+    theta_i - phi_j, with no difference angle shared between entries."""
+    ratios, scale = _disk_series_parts(center, radius, k, m, n)
+    diff = observation_angles(m)[:, None] - incidence_angles(n)[None, :]
+    series = np.full((m, n), ratios[0], dtype=complex)
+    for p in range(1, ratios.size):
+        series += 2.0 * ratios[p] * np.cos(p * diff)
+    return scale * series
+
+
+def mpmath_disk_farfield(center, radius, k, m, n, digits=40):
+    """Reference at `digits` significant digits: mpmath's Bessel
+    functions, exact grid angles, and 20 more orders than the program."""
+    with mpmath.workdps(digits):
+        k_mp, kr = mpmath.mpf(k), mpmath.mpf(k) * mpmath.mpf(radius)
+        cx, cy = (mpmath.mpf(float(x)) for x in center)
+        orders = range(int(np.ceil(k * radius)) + 41)
+        ratios = [mpmath.besselj(p, kr) / mpmath.hankel1(p, kr) for p in orders]
+        amplitude = -mpmath.sqrt(2 / (k_mp * mpmath.pi)) * mpmath.expjpi(-0.25)
+        out = np.empty((m, n), dtype=complex)
+        for i in range(m):
+            theta = 2 * mpmath.pi * i / m
+            for j in range(n):
+                phi = 2 * mpmath.pi * j / n
+                series = ratios[0] + 2 * sum(
+                    ratios[p] * mpmath.cos(p * (theta - phi)) for p in orders[1:])
+                phase = k_mp * (cx * (mpmath.cos(phi) - mpmath.cos(theta))
+                                + cy * (mpmath.sin(phi) - mpmath.sin(theta)))
+                out[i, j] = complex(amplitude * mpmath.expj(phase) * series)
+    return out
 
 
 def test_angle_grids():
@@ -178,6 +222,42 @@ class TestBatchedDisks:
         want = disk_farfields(centers, radii, K, 30, 30)
         gap = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
+
+    # The batched tests' disk sets, plus shapes whose difference grid is
+    # coprime (L = m n), a multiple of one side (L = 24) and large (64 x 64).
+    @pytest.mark.parametrize("count, seed, k, m, n", [
+        (40, 0, K, 12, 12), (9, 1, 1.7 * K, 10, 17), (10, 3, K, 8, 8),
+        (77, 4, K, 30, 30), (12, 8, K, 31, 17), (12, 9, 1.3 * K, 12, 24),
+        (6, 10, K, 64, 64),
+    ])
+    def test_within_2e14_of_the_per_entry_sum(self, count, seed, k, m, n):
+        centers, radii = _disks(count, seed)
+        got = disk_farfields(centers, radii, k, m, n)
+        for i, (center, radius) in enumerate(zip(centers, radii)):
+            want = grid_disk_farfield(center, radius, k, m, n)
+            gap = np.max(np.abs(got[i] - want))
+            assert gap <= 2e-14 * np.max(np.abs(want)), f"disk {i}: {gap}"
+
+    # Nine disks within a wavelength of the origin, held to 1e-14 of the
+    # peak, and four farther out.  The translation phase k (d - x).c
+    # reaches 2 k |c| and is rounded in double precision on any grid, so
+    # its error grows with k |c|; far disks get 1e-14 per wavelength of
+    # offset (the per-entry sum reads the same there).
+    @pytest.mark.parametrize("center, radius, k, m, n", [
+        ((0.0, 0.0), 0.5, K, 12, 12), ((0.4, -0.9), 1.1, K, 12, 12),
+        ((-0.5, 0.7), 1.5, K, 10, 17), ((0.6, 0.6), 0.07, K, 10, 17),
+        ((0.3, -0.4), 0.8, 1.7 * K, 9, 11), ((0.0, 0.0), 2.9, K, 8, 8),
+        ((-0.6, -0.6), 0.9, 0.6 * K, 31, 17), ((0.0, 1.0), 1.3, K, 12, 24),
+        ((0.5, -0.5), 1.0, K, 30, 30),
+        ((-2.5, 1.7), 1.5, K, 10, 17), ((1.2, 2.8), 0.07, K, 10, 17),
+        ((4.0, 4.0), 0.07, K, 12, 12), ((3.0, -3.0), 1.0, K, 30, 30),
+    ])
+    def test_within_1e14_of_a_40_digit_reference(self, center, radius, k, m, n):
+        got = disk_farfield(center, radius, k, m, n).entries
+        want = mpmath_disk_farfield(center, radius, k, m, n)
+        wavelengths = max(1.0, k * math.hypot(*center) / (2.0 * np.pi))
+        gap = np.max(np.abs(got - want))
+        assert gap <= 1e-14 * wavelengths * np.max(np.abs(want))
 
     def test_eigenvalues_share_the_ratio_table(self):
         lam = operator_eigenvalues_disk(0.9, K, 25)

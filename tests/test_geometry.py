@@ -492,6 +492,17 @@ def test_obstacles_name_a_non_positive_size(make, match):
         make()
 
 
+@pytest.mark.parametrize("center", [(1.0,), (0.0, 0.0, 0.0)], ids=["1", "3"])
+@pytest.mark.parametrize("make", [
+    lambda c: Disk(center=c, radius=0.5),
+    lambda c: Ellipse(center=c, semi_axis_a=1.0, semi_axis_b=0.5),
+    lambda c: Kite(center=c, scale=0.8),
+], ids=["disk", "ellipse", "kite"])
+def test_obstacles_refuse_a_center_without_two_coordinates(make, center):
+    with pytest.raises(ValueError, match="center must have two coordinates"):
+        make(center)
+
+
 def test_scene_rejects_overlap_and_escape():
     with pytest.raises(ValueError):
         Scene(obstacles=(Disk(center=(0.0, 0.0), radius=1.0),

@@ -169,6 +169,13 @@ class TestCorpus:
             NoiseDataset(np.zeros((3, 10)), np.zeros(2), np.ones(3),
                          np.ones(3), np.ones(3), 10, 10, K)
 
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    @pytest.mark.parametrize("key, match", [("eta_range", "noise range"),
+                                            ("radius_range", "radius range")])
+    def test_non_finite_range_is_refused_by_name(self, key, match, bound):
+        with pytest.raises(ValueError, match=f"{match} .* must be finite"):
+            gen_noise_dataset(K, 10, 10, seed=0, count=5, **{key: (0.1, bound)})
+
     @pytest.mark.parametrize("m0, n0", [(41, 10), (10, 41), (0, 10)])
     def test_native_shape_is_bounded(self, m0, n0):
         # Refused before any sample is drawn, and for a network too.
