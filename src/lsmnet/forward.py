@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_j, bessel_y
+from .specialfn import bessel_y
 
 # Name recorded in run manifests so a reader can reproduce noise draws.
 PRNG_NAME = "PCG64"
@@ -103,20 +103,45 @@ def spectral_norm(a: np.ndarray) -> float:
 # disks at 30 x 30, 1 MB of translation factors); larger were no faster.
 _BLOCK_ENTRIES = 1 << 16
 
+# Far beyond any series truncation needed for kR <= 2*pi*1.5*4.
+ORDER_CAP = 200
+
 
 def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Row i holds J_p(kr_i)/H_p(kr_i) for p = 0..orders[i], zeros beyond.
 
-    Each order takes one vectorised J_p and one Y_p call over the rows
-    that need it; every ratio is then Python's float / complex division,
-    so a row is bit for bit the scalar series' coefficients.
+    Y_p runs forward from Y_0 and Y_1 (the ratio is its limit 0 where Y_p
+    overflows); J_p is Miller's backward recurrence (DLMF 3.6(vi)) normalized
+    by 1 = J_0 + 2 sum J_2k (A&S 9.1.46), started per row at an even order
+    16 + 6 kr^(1/3) past max(orders[i], kr_i + 20): a row ignores its block.
     """
-    table = np.zeros((kr.size, int(orders.max()) + 1), dtype=complex)
-    for p in range(table.shape[1]):
-        rows = np.flatnonzero(orders >= p)
-        js = bessel_j(p, kr[rows]).tolist()
-        ys = bessel_y(p, kr[rows]).tolist()
-        table[rows, p] = [j / (j + 1j * y) for j, y in zip(js, ys)]
+    top = max(int(orders.max()), 1)
+    if top > ORDER_CAP:
+        raise ValueError(f"order {top} exceeds cap {ORDER_CAP}")
+    reach = np.maximum(orders, np.ceil(kr) + 20) + np.floor(6.0 * np.cbrt(kr)) + 16
+    start = 2 * np.ceil(reach / 2.0).astype(int)
+    j = np.zeros((kr.size, top + 1))
+    y = np.empty_like(j)
+    y[:, 0], y[:, 1] = bessel_y(0, kr), bessel_y(1, kr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, top):
+            y[:, p + 1] = (2.0 * p / kr) * y[:, p] - y[:, p - 1]
+        above, here, evens = np.zeros((3, kr.size))
+        for p in range(int(start.max()), 0, -1):
+            here += start == p
+            if p <= top:
+                j[:, p] = here
+            if p % 2 == 0:
+                evens += here
+            above, here = here, (2.0 * p / kr) * here - above
+            if np.abs(here).max() > 1e150:  # scale rows near overflow to 1
+                scale = np.where(np.abs(here) > 1e150, np.abs(here), 1.0)
+                for state in (here, above, evens, j.T):
+                    state /= scale
+        j[:, 0] = here
+        j /= (here + 2.0 * evens)[:, None]
+        table = j / (j + 1j * y)
+    table[~np.isfinite(y) | (np.arange(top + 1) > orders[:, None])] = 0.0
     return table
 
 
@@ -137,9 +162,10 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
     mod L; exp(i*k*(d - x).c) then moves it to center c.  Each disk is
     summed to its own N = ceil(kR) + 20, well past the eight orders beyond
     kR that full double accuracy needs.  Disks go in blocks of about
-    _BLOCK_ENTRIES entries sharing one ratio table (exact zeros past each
-    disk's N) and one cosine table per order; each disk's sum runs over p
-    in the order it would alone, so no entry depends on its batch.
+    _BLOCK_ENTRIES entries sharing one ratio table, whose rows run their
+    own recurrences (exact zeros past each disk's N), and one cosine table
+    per order; each disk's sum runs over p in the order it would alone, so
+    no entry depends on its batch.
     """
     try:
         centers = np.asarray(centers, dtype=float)
@@ -205,7 +231,7 @@ def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray
     check_wavenumber(k)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    ratios = _ratio_table(np.array([k * radius]), np.array([p_max]))[0]
+    ratios = _ratio_table(np.array([k * radius]), np.array([p_max]))[0, :p_max + 1]
     return -np.sqrt(8.0 * np.pi / k) * np.exp(-1j * np.pi / 4.0) * ratios
 
 

@@ -1,31 +1,36 @@
 """Far-field assembly, noise, and angular resampling."""
 
+import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
 from lsmnet import forward
-from lsmnet.forward import (FarFieldMatrix, add_noise, check_wavelength,
-                            check_wavenumber, disk_farfield, disk_farfields,
-                            fold_to_shape, fourier_resample, incidence_angles,
-                            observation_angles, operator_eigenvalues_disk,
-                            spectral_norm)
-from lsmnet.specialfn import ORDER_CAP, bessel_j, hankel1
+from lsmnet.forward import (ORDER_CAP, FarFieldMatrix, add_noise,
+                            check_wavelength, check_wavenumber, disk_farfield,
+                            disk_farfields, fold_to_shape, fourier_resample,
+                            incidence_angles, observation_angles,
+                            operator_eigenvalues_disk, spectral_norm)
+from scipy_bessel import scipy_ratio_table
 
 K = 2.0 * np.pi
 
 
+def _one_row(kr, order):
+    """The ratio table of one disk alone: J_p(kr)/H_p(kr), p = 0..order."""
+    return forward._ratio_table(np.array([kr]), np.array([order]))[0, :order + 1]
+
+
 def _disk_series_parts(center, radius, k, m, n):
-    """One disk's scalar ratios J_p/H_p, translation and amplitude."""
+    """One disk's ratios J_p/H_p, translation and amplitude."""
     center = np.asarray(center, dtype=float)
     truncation = int(np.ceil(k * radius)) + 20
     theta = observation_angles(m)
     phi = incidence_angles(n)
-    kr = k * radius
-    ratios = np.array([bessel_j(p, kr) / hankel1(p, kr)
-                       for p in range(truncation + 1)])
+    ratios = _one_row(k * radius, truncation)
     xhat_dot_c = center[0] * np.cos(theta) + center[1] * np.sin(theta)
     dhat_dot_c = center[0] * np.cos(phi) + center[1] * np.sin(phi)
     shift = np.exp(-1j * k * xhat_dot_c)[:, None] * np.exp(1j * k * dhat_dot_c)[None, :]
@@ -202,8 +207,7 @@ class TestBatchedDisks:
         table = forward._ratio_table(kr, orders)
         assert table.shape == (4, 34)
         for row, x, top in zip(table, kr, orders):
-            want = [bessel_j(p, x) / hankel1(p, x) for p in range(top + 1)]
-            np.testing.assert_array_equal(row[:top + 1], want)
+            np.testing.assert_array_equal(row[:top + 1], _one_row(x, top))
             assert np.all(row[:top + 1] != 0.0) and np.all(row[top + 1:] == 0.0)
 
     def test_one_disk_call_is_the_batched_series(self):
@@ -261,8 +265,7 @@ class TestBatchedDisks:
 
     def test_eigenvalues_share_the_ratio_table(self):
         lam = operator_eigenvalues_disk(0.9, K, 25)
-        ratios = np.array([bessel_j(p, K * 0.9) / hankel1(p, K * 0.9)
-                           for p in range(26)])
+        ratios = _one_row(K * 0.9, 25)
         np.testing.assert_array_equal(
             lam, -np.sqrt(8.0 * np.pi / K) * np.exp(-1j * np.pi / 4.0) * ratios)
 
@@ -300,6 +303,110 @@ class TestBatchedDisks:
     def test_one_disk_call_refuses_what_the_batch_refuses(self, center, radius, k, match):
         with pytest.raises(ValueError, match=match):
             disk_farfield(center, radius, k, 8, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_ratios(kr, order, digits=40):
+    """J_p(kr)/H_p(kr), p = 0..order, from mpmath at `digits` digits."""
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(kr)
+        return np.array([complex(mpmath.besselj(p, x) / mpmath.hankel1(p, x))
+                         for p in range(order + 1)])
+
+
+def _first_overflowing_order(kr):
+    """The lowest p at which |Y_p(kr)| exceeds the largest double."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(kr)
+        return next(p for p in range(ORDER_CAP + 1)
+                    if abs(mpmath.bessely(p, x)) > sys.float_info.max)
+
+
+# kR from 0.05 to 179.4: each row with its own N = ceil(kR) + 20, up to
+# the cap.  The bounds are the levels the SciPy table met before the
+# recurrence replaced it; both are held to them.
+_TABLE_KRS = [float(x) for x in np.concatenate([np.geomspace(0.05, 40.0, 16),
+                                                np.linspace(47.3, 179.4, 8)])]
+
+
+class TestRatioTable:
+    @pytest.mark.parametrize("table", [forward._ratio_table, scipy_ratio_table],
+                             ids=["recurrence", "scipy"])
+    def test_within_the_fixed_bounds_of_40_digit_ratios(self, table):
+        kr = np.array(_TABLE_KRS)
+        orders = np.ceil(kr).astype(int) + 20
+        assert orders.max() == ORDER_CAP
+        got = table(kr, orders)
+        for row, x, top in zip(got, kr, orders):
+            want = _mpmath_ratios(float(x), int(top))
+            error = np.abs(row[:top + 1] - want)
+            peak = np.max(np.abs(want))
+            assert np.max(error) <= (5e-15 if x <= 40.0 else 5e-14) * peak, x
+            tail = np.arange(top + 1) >= x + 1.0
+            assert np.all(error[tail] <= 1e-13 * np.abs(want[tail])), x
+
+    # A short row's peak can sit far below the ratio's bound |J/H| <= 1;
+    # its error is the rounding of about kR recurrence steps, so it is
+    # held to the full rows' level at the cap, 5e-14, in absolute terms.
+    @pytest.mark.parametrize("kr, p_max", [
+        (0.3, 0), (5.0, 0), (100.0, 0), (100.0, 3), (179.9, 0), (150.3, 2),
+    ])
+    def test_short_rows_start_miller_past_kr(self, kr, p_max):
+        radius = kr / K
+        got = operator_eigenvalues_disk(radius, K, p_max)
+        scale = -np.sqrt(8.0 * np.pi / K) * np.exp(-1j * np.pi / 4.0)
+        assert got.shape == (p_max + 1,)
+        np.testing.assert_allclose(got / scale, _mpmath_ratios(K * radius, p_max),
+                                   rtol=0, atol=5e-14)
+
+    def test_block_mixing_kr_is_each_row_alone(self):
+        kr = np.geomspace(0.05, 179.9, 57)[::-1]
+        orders = np.minimum(np.ceil(kr).astype(int) + 20, ORDER_CAP)
+        orders[::7] = 0
+        table = forward._ratio_table(kr, orders)
+        for row, x, top in zip(table, kr, orders):
+            assert row[:top + 1].tobytes() == _one_row(x, top).tobytes(), x
+            assert np.all(row[top + 1:] == 0.0)
+
+    # Radii 0.05 to 3 at three wavelengths and three shapes.
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m, n", [(30, 30), (31, 17), (12, 24)])
+    def test_far_fields_within_4e15_of_the_scipy_table(self, monkeypatch, lam, m, n):
+        centers, radii = _disks(24, 11 + m + n)
+        k = 2.0 * np.pi / lam
+        got = disk_farfields(centers, radii, k, m, n)
+        monkeypatch.setattr(forward, "_ratio_table", scipy_ratio_table)
+        want = disk_farfields(centers, radii, k, m, n)
+        gap = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(gap <= 4e-15 * np.max(np.abs(want), axis=(1, 2)))
+
+    @pytest.mark.usefixtures("no_general_order")
+    def test_corpus_and_eigenvalues_call_no_general_order_kernel(self):
+        centers, radii = _disks(30, 12)
+        assert np.all(np.isfinite(disk_farfields(centers, radii, K, 12, 12)))
+        assert np.all(np.isfinite(operator_eigenvalues_disk(0.7, K, ORDER_CAP)))
+
+    def test_order_cap_is_refused_by_name(self):
+        operator_eigenvalues_disk(0.5, K, ORDER_CAP)
+        with pytest.raises(ValueError,
+                           match=f"order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"):
+            operator_eigenvalues_disk(0.5, K, ORDER_CAP + 1)
+
+
+# Before the recurrence these radii gave NaN from orders 126, 158 and 188.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [0.05, 0.2, 0.5, 1.0, 3.0])
+def test_eigenvalues_to_the_order_cap_are_finite_and_vanish(radius):
+    lam = operator_eigenvalues_disk(radius, K, ORDER_CAP)
+    assert lam.shape == (ORDER_CAP + 1,) and np.all(np.isfinite(lam))
+    zero = np.flatnonzero(lam == 0.0)
+    first_zero = zero[0] if zero.size else lam.size
+    assert np.all(lam[:first_zero] != 0.0) and np.all(lam[first_zero:] == 0.0)
+    # |J_p/H_p| ~ pi p J_p^2 underflows before Y_p overflows.
+    if radius <= 0.5:
+        assert first_zero <= _first_overflowing_order(K * radius)
+    mags = np.abs(lam[math.ceil(K * radius + 1.0):])
+    assert np.all(np.diff(mags) <= 0.0)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])

