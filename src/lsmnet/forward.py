@@ -99,12 +99,16 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-# Disks per block of disk_farfields: about this many matrix entries (72
-# disks at 30 x 30, 1 MB of translation factors); larger were no faster.
+# Disks per block of disk_farfields' translation product: about this many
+# entries (72 disks at 30 x 30); 1 << 14 to 1 << 18 timed alike.
 _BLOCK_ENTRIES = 1 << 16
 
 # Far beyond any series truncation needed for kR <= 2*pi*1.5*4.
 ORDER_CAP = 200
+
+# Miller's coefficients 2p/kR overflow to NaN rows below 2p/DBL_MAX for a
+# table's highest start p (up to 3e-306 under the cap); refuse well above.
+MIN_KR = 1e-300
 
 
 def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -113,8 +117,14 @@ def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
     Y_p runs forward from Y_0 and Y_1 (the ratio is its limit 0 where Y_p
     overflows); J_p is Miller's backward recurrence (DLMF 3.6(vi)) normalized
     by 1 = J_0 + 2 sum J_2k (A&S 9.1.46), started per row at an even order
-    16 + 6 kr^(1/3) past max(orders[i], kr_i + 20): a row ignores its block.
+    16 + 6 kr^(1/3) past max(orders[i], kr_i + 20): a row ignores the
+    others.  A row with kr below MIN_KR is refused by its index.
     """
+    tiny = np.flatnonzero(kr < MIN_KR)
+    if tiny.size:
+        i = tiny[0]
+        raise ValueError(f"disk {i}: kR = {float(kr[i])!r} is below {MIN_KR:g}, "
+                         f"where the J_p recurrence overflows")
     top = max(int(orders.max()), 1)
     if top > ORDER_CAP:
         raise ValueError(f"order {top} exceeds cap {ORDER_CAP}")
@@ -161,11 +171,11 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
     disk's series is summed once per l and gathered at l = (i*L/m - j*L/n)
     mod L; exp(i*k*(d - x).c) then moves it to center c.  Each disk is
     summed to its own N = ceil(kR) + 20, well past the eight orders beyond
-    kR that full double accuracy needs.  Disks go in blocks of about
-    _BLOCK_ENTRIES entries sharing one ratio table, whose rows run their
-    own recurrences (exact zeros past each disk's N), and one cosine table
-    per order; each disk's sum runs over p in the order it would alone, so
-    no entry depends on its batch.
+    kR that full double accuracy needs.  One ratio table (its rows run their
+    own recurrences, exact zeros past each disk's N) and one cos(p*psi) table
+    serve the whole call, and each disk sums over p in the order it would
+    alone, so no entry depends on the other disks; blocks of _BLOCK_ENTRIES
+    entries bound only the (count, m, n) translation product and its gather.
     """
     try:
         centers = np.asarray(centers, dtype=float)
@@ -185,32 +195,31 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
                          f"{radii[i]!r} must be finite, the radius positive")
     check_wavenumber(k)
     kr = k * radii
-    orders = np.ceil(kr).astype(int) + 20
-
-    theta = observation_angles(m)
-    phi = incidence_angles(n)
+    ratios = _ratio_table(kr, np.ceil(kr).astype(int) + 20)
     L = math.lcm(m, n)
     psi = 2.0 * np.pi * np.arange(L) / L
+    cosines = np.cos(np.arange(ratios.shape[1])[:, None] * psi)
+    series = np.full((kr.size, L), ratios[:, :1])
+    for p in range(1, ratios.shape[1]):
+        series += (2.0 * ratios[:, p])[:, None] * cosines[p]
+    # exp(i*k*(d - x).c) factors into an outer product per disk.
+    theta = observation_angles(m)
+    phi = incidence_angles(n)
+    xhat_dot_c = centers[:, :1] * np.cos(theta) + centers[:, 1:] * np.sin(theta)
+    dhat_dot_c = centers[:, :1] * np.cos(phi) + centers[:, 1:] * np.sin(phi)
+    receive = np.exp(-1j * k * xhat_dot_c)
+    send = np.exp(1j * k * dhat_dot_c)
     index = np.arange(m)[:, None] * (L // m) - np.arange(n) * (L // n)
     amplitude = -np.sqrt(2.0 / (k * np.pi)) * np.exp(-1j * np.pi / 4.0)
     out = np.empty((kr.size, m, n), dtype=complex)
     size = max(1, _BLOCK_ENTRIES // (m * n))
     for lo in range(0, kr.size, size):
         block = slice(lo, lo + size)
-        ratios = _ratio_table(kr[block], orders[block])
-        series = np.full((ratios.shape[0], L), ratios[:, :1])
-        for p in range(1, ratios.shape[1]):
-            series += (2.0 * ratios[:, p])[:, None] * np.cos(p * psi)
-        # exp(i*k*(d - x).c) factors into an outer product per disk.
-        c = centers[block]
-        xhat_dot_c = c[:, :1] * np.cos(theta) + c[:, 1:] * np.sin(theta)
-        dhat_dot_c = c[:, :1] * np.cos(phi) + c[:, 1:] * np.sin(phi)
-        shift = (np.exp(-1j * k * xhat_dot_c)[:, :, None]
-                 * np.exp(1j * k * dhat_dot_c)[:, None, :])
+        shift = receive[block, :, None] * send[block, None, :]
         # Gather series[l mod L] ("wrap"), then amplitude * shift * series in
         # that operand order: the fused complex product is not bitwise commutative.
         np.multiply(amplitude, shift, out=shift)
-        np.take(series, index, axis=1, out=out[block], mode="wrap")
+        np.take(series[block], index, axis=1, out=out[block], mode="wrap")
         np.multiply(shift, out[block], out=out[block])
     return out
 

@@ -207,7 +207,7 @@ def condition_sweep(trunk_template: RbfTrunk, s_values) -> list:
     (s, epsilon, condition) rows.  The sequence must be strictly
     increasing in the condition number; a non-monotone sweep means the
     overlap is not acting as the conditioning dial it is supposed to be,
-    and raises.
+    and raises; past 1/eps the message names round-off as the cause.
     """
     rows = []
     previous = None
@@ -220,9 +220,12 @@ def condition_sweep(trunk_template: RbfTrunk, s_values) -> list:
         sv = np.linalg.svd(trunk_gram(trunk), compute_uv=False)
         kappa = _condition(sv)
         if previous is not None and not kappa > previous:
+            cause = ("; the trunk matrix is beyond double precision's resolution "
+                     "(condition >= 1/eps), so this is round-off"
+                     if max(kappa, previous) >= 1.0 / np.finfo(float).eps else "")
             raise ArithmeticError(
                 f"condition number failed to increase at s={s:g}: "
-                f"{kappa:.6e} after {previous:.6e}")
+                f"{kappa:.6e} after {previous:.6e}{cause}")
         rows.append((s, trunk.epsilon, kappa))
         previous = kappa
     return rows

@@ -194,6 +194,24 @@ class TestBatchedDisks:
         entries = disk_farfields(centers, radii, K, 8, 8)
         _assert_matches_oracle(entries, centers, radii, K, 8, 8)
 
+    def test_one_ratio_table_serves_every_block(self, monkeypatch):
+        # Three disks per block: four blocks, one ratio table for all ten.
+        monkeypatch.setattr(forward, "_BLOCK_ENTRIES", 3 * 8 * 8)
+        calls = []
+        table = forward._ratio_table
+
+        def spy(kr, orders):
+            calls.append(kr.size)
+            return table(kr, orders)
+
+        monkeypatch.setattr(forward, "_ratio_table", spy)
+        centers, radii = _disks(10, 13)
+        entries = disk_farfields(centers, radii, K, 8, 8)
+        assert calls == [10]
+        disk_farfields(centers[:7], radii[:7], K, 8, 8)
+        assert calls == [10, 7]
+        _assert_matches_oracle(entries, centers, radii, K, 8, 8)
+
     def test_default_blocks_at_corpus_shape_are_bitwise(self):
         # More disks than one default block holds at 30 x 30.
         count = forward._BLOCK_ENTRIES // 900 + 5
@@ -269,7 +287,8 @@ class TestBatchedDisks:
         np.testing.assert_array_equal(
             lam, -np.sqrt(8.0 * np.pi / K) * np.exp(-1j * np.pi / 4.0) * ratios)
 
-    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5])
+    # 1e-308 gave 16 of 16 entries NaN, silently, before kR had a floor.
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5, 1e-308, 5e-324])
     def test_refuses_bad_radius_by_index(self, radius):
         centers, radii = _disks(5, 5)
         radii[3] = radius
@@ -409,6 +428,26 @@ def test_eigenvalues_to_the_order_cap_are_finite_and_vanish(radius):
     assert np.all(np.diff(mags) <= 0.0)
 
 
+# A kR of MIN_KR next to kR = 179 (N = 199, Miller's highest start).  The
+# old NaN floor was 2 * 38 / DBL_MAX, about 4.2e-307, for a row alone, and
+# 500 / DBL_MAX in such a table: kR = 1e-306 was finite alone, NaN there.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kr_floor_holds_next_to_the_highest_miller_start():
+    centers, radii = _disks(3, 14)
+    radii[:2] = forward.MIN_KR, 179.0
+    entries = disk_farfields(centers, radii, 1.0, 8, 8)
+    assert np.all(np.isfinite(entries))
+    for i, (center, radius) in enumerate(zip(centers, radii)):
+        alone = disk_farfields([center], [radius], 1.0, 8, 8)[0]
+        assert entries[i].tobytes() == alone.tobytes(), i
+    for p_max in (3, ORDER_CAP):
+        lam = operator_eigenvalues_disk(forward.MIN_KR, 1.0, p_max)
+        assert np.all(np.isfinite(lam)) and lam[0] != 0.0
+    radii[0] = 1e-306
+    with pytest.raises(ValueError, match="disk 0: kR = 1e-306 is below 1e-300"):
+        disk_farfields(centers, radii, 1.0, 8, 8)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_wavenumber_and_wavelength_operands_are_refused_by_name(value):
     with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
@@ -434,6 +473,8 @@ def test_wavelength_check_passes_the_model_wavelength_only():
     (np.nan, K, "radius must be positive and finite, got nan"),
     (np.inf, K, "radius must be positive and finite, got inf"),
     (0.0, K, "radius must be positive and finite, got 0.0"),
+    (1e-308, K, r"disk 0: kR = 6\.28\d*e-308 is below 1e-300"),
+    (np.nextafter(forward.MIN_KR, 0.0), 1.0, r"disk 0: kR = 9\.9+e-301 is below"),
     (0.5, np.nan, "wavenumber must be positive and finite, got nan"),
     (0.5, np.inf, "wavenumber must be positive and finite, got inf"),
     (0.5, -1.0, "wavenumber must be positive and finite, got -1.0"),

@@ -189,8 +189,17 @@ class TestConditionSweep:
 
     def test_decreasing_sequence_raises(self):
         trunk = make_trunk(1.0, 1.0, 0.5, 0.15)
-        with pytest.raises(ArithmeticError, match="failed to increase"):
+        with pytest.raises(ArithmeticError, match="failed to increase") as info:
             condition_sweep(trunk, (0.8, 0.15))
+        assert "round-off" not in str(info.value)  # both kappas resolve
+
+    def test_unresolved_sweep_names_round_off(self):
+        # Every kappa here is past 1/eps ~ 4.5e15, so the first drop (at
+        # s = 0.9945 with OpenBLAS) is round-off, not a broken dial.
+        trunk = make_trunk(1.0, 1.0, 0.5, 0.5)
+        with pytest.raises(ArithmeticError, match=r"failed to increase at s=.*"
+                                                  r"beyond double precision's resolution"):
+            condition_sweep(trunk, np.linspace(0.993, 0.999, 13))
 
     def test_range_validation(self):
         trunk = make_trunk(1.0, 1.0, 0.5, 0.15)
