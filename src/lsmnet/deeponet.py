@@ -205,8 +205,10 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     labels = np.empty((count, trunk.p_h), dtype=np.uint8)
     for lo in range(0, count, _LABEL_BLOCK):
         block = slice(lo, lo + _LABEL_BLOCK)
-        gaps = trunk.centers[None, :, :] - positions[block, None, :]
-        labels[block] = np.linalg.norm(gaps, axis=2) <= radii[block, None]
+        # sqrt(dx^2 + dy^2), rounded as np.linalg.norm over the last axis.
+        dx = trunk.centers[:, 0] - positions[block, 0, None]
+        dy = trunk.centers[:, 1] - positions[block, 1, None]
+        labels[block] = np.sqrt(dx * dx + dy * dy) <= radii[block, None]
     return TrainingSet(matrices, positions, radii, labels, float(k))
 
 

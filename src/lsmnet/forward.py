@@ -118,13 +118,14 @@ def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
     overflows); J_p is Miller's backward recurrence (DLMF 3.6(vi)) normalized
     by 1 = J_0 + 2 sum J_2k (A&S 9.1.46), started per row at an even order
     16 + 6 kr^(1/3) past max(orders[i], kr_i + 20): a row ignores the
-    others.  A row with kr below MIN_KR is refused by its index.
+    others.  A row with kr below MIN_KR or not finite is refused by its index.
     """
-    tiny = np.flatnonzero(kr < MIN_KR)
-    if tiny.size:
-        i = tiny[0]
-        raise ValueError(f"disk {i}: kR = {float(kr[i])!r} is below {MIN_KR:g}, "
-                         f"where the J_p recurrence overflows")
+    bad = np.flatnonzero(~(np.isfinite(kr) & (kr >= MIN_KR)))
+    if bad.size:
+        i = bad[0]
+        why = (f"is below {MIN_KR:g}, where the J_p recurrence overflows"
+               if kr[i] < MIN_KR else "is not finite")
+        raise ValueError(f"disk {i}: kR = {float(kr[i])!r} {why}")
     top = max(int(orders.max()), 1)
     if top > ORDER_CAP:
         raise ValueError(f"order {top} exceeds cap {ORDER_CAP}")
@@ -194,8 +195,10 @@ def disk_farfields(centers, radii, k: float, m: int, n: int) -> np.ndarray:
         raise ValueError(f"disk {i}: center {centers[i].tolist()} and radius "
                          f"{radii[i]!r} must be finite, the radius positive")
     check_wavenumber(k)
-    kr = k * radii
-    ratios = _ratio_table(kr, np.ceil(kr).astype(int) + 20)
+    with np.errstate(over="ignore"):    # _ratio_table refuses an infinite kR
+        kr = k * radii
+    # Orders stay floats, so no integer cast runs before that check.
+    ratios = _ratio_table(kr, np.ceil(kr) + 20)
     L = math.lcm(m, n)
     psi = 2.0 * np.pi * np.arange(L) / L
     cosines = np.cos(np.arange(ratios.shape[1])[:, None] * psi)

@@ -234,9 +234,12 @@ def adam_step(state: AdamState, params: list, grads: list,
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient lists do not match optimizer state")
-    for g in grads:
-        if not np.isfinite(np.sum(g)):
-            raise ValueError("non-finite gradient passed to optimizer")
+    # One pass per gradient; a sum that overflows on finite entries is
+    # confirmed entry by entry before it is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in grads:
+            if not np.isfinite(np.sum(g)) and not np.isfinite(g).all():
+                raise ValueError("non-finite gradient passed to optimizer")
     lr = state.base_lr if lr is None else float(lr)
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step

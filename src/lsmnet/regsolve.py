@@ -15,11 +15,11 @@ match against a known perturbation norm, a fixed constant, or a
 precomputed spatial field; strategies solved together share each
 projection.  The discrepancy's out-of-range energy is read off the
 orthogonal complement of U, empty for square data.  Its root is found
-in log alpha, on the spectral bracket described at ALPHA_BRACKET, by
-Chandrupatla's bracketed hybrid (Adv. Eng. Softw. 28, 1997), vectorized
-over points: each step takes an inverse-quadratic guess where it is
-safe and halves the bracket otherwise, so the root stays bracketed as
-under bisection and converges to rounding in about 11 steps.
+in log alpha on the bracket described at ALPHA_BRACKET: one matrix
+product over shared alpha nodes puts each point in a cell (Hansen 1998),
+and Chandrupatla's bracketed hybrid (Adv. Eng. Softw. 28, 1997),
+vectorized over points and seeded with the node beyond the cell, polishes
+it to the discrepancy's rounding floor in about four steps.
 """
 
 from __future__ import annotations
@@ -33,14 +33,21 @@ from . import archive
 from .forward import FarFieldMatrix, check_wavenumber
 
 # Bracket for the discrepancy root, relative to sigma_1^2: 22 decades, on
-# which a missing sign change means a rootless instance.  Points without
-# out-of-range energy start on [delta s_r / 2, 2 delta s_1] clipped to it;
-# every discrepancy term is negative at the one end and positive at the
-# other, so each moved end has the sign the wide end has and the rootless
-# verdict is the wide bracket's.  60 plain halvings would resolve log
-# alpha to ~5e-17, so the step cap only bounds a point that never settles.
+# which a missing sign change means a rootless instance.  A block of points
+# without out-of-range energy is searched on [delta s_r / 2, 2 delta s_1]
+# clipped to it; every discrepancy term is negative at the one end and
+# positive at the other, so each moved end has the sign the wide end has
+# and the rootless verdict is the wide bracket's.  The search polishes one
+# cell of _ROOT_GRID nodes in a few steps, so the step cap only bounds a
+# point that never settles.
 ALPHA_BRACKET = (1e-16, 1e6)
 BISECT_ITERATIONS = 60
+
+# Nodes per bracket, and the rounding floor in ulps at which a root stops:
+# 4 kept every kite root in the tests within 10 ulps of its conditioning
+# of the bisection root, 8 let some reach 21.
+_ROOT_GRID = 32
+_FLOOR_ULPS = 4.0
 
 # Points per block of test functions, rounded down to whole grid rows.
 # On a 2-vCPU Xeon, 2048-point blocks made the discrepancy solve at 200^2
@@ -198,43 +205,75 @@ def _root_alpha(s: np.ndarray, beta2: np.ndarray, outside: np.ndarray,
     (P,) out-of-range energy.  Returns the root array and a mask of
     points without a sign change on ALPHA_BRACKET (searched as described there).
 
-    Chandrupatla's step keeps x1 (newest) and x2 on opposite sides of the
-    root and x3 (the end just dropped).  The next abscissa is
-    x1 + t (x2 - x1): t is the inverse-quadratic estimate where the three
-    points make it monotone, 1/2 (bisection) otherwise, clipped to
-    [tl, 1 - tl] so every step moves at least tol/2 into the bracket.  A
-    point stops once its bracket is narrower than a few ulps of log alpha
-    or it hits an exact zero; converged points are frozen in place, and
-    the loop ends when all have stopped or after BISECT_ITERATIONS steps.
+    The discrepancy is linear in beta2, so one matrix product evaluates
+    it, and its negative terms' sum, at _ROOT_GRID log-spaced nodes of the
+    block's bracket for every point (Hansen 1998); a point's cell is where
+    the product changes sign.  Elementwise evaluations at the cell's ends
+    alone decide the bracket and the rootless verdict (the first and last
+    cells end on the bracket's own ends); a cell that misses its root to
+    the product's rounding falls back to the whole bracket.
+
+    Chandrupatla's step then keeps x1 (newest) and x2 on opposite sides of
+    the root and x3 (the end just dropped; at first, the node beyond x1
+    with the product's value).  The next abscissa is x1 + t (x2 - x1): t
+    is the inverse-quadratic estimate where the three points make it
+    monotone, 1/2 (bisection) otherwise, clipped to [tl, 1 - tl] so every
+    step moves at least tol/2 into the bracket.  A point stops once |d| at
+    its nearer end is within _FLOOR_ULPS eps of a bound on sum_i |term_i|
+    + outside over its cell, or once its bracket is narrower than a few
+    ulps of log alpha; stopped points are frozen in place, and the loop
+    ends when all have stopped or after BISECT_ITERATIONS steps.
     """
     s2 = (s ** 2)[:, None]
     d2s2 = (delta ** 2) * s2
-    wide = np.array(ALPHA_BRACKET)[:, None] * s[0] ** 2
-    spectral = np.clip(delta * np.array([[0.5 * s[-1]], [2.0 * s[0]]]), *wide)
-    lo, hi = np.where(outside > 0.0, wide, spectral)
-    f1 = _discrepancies(lo, s2, d2s2, beta2, outside)
-    f2 = _discrepancies(hi, s2, d2s2, beta2, outside)
-    no_root = (f1 > 0.0) | (f2 < 0.0)
-    x1, x2 = np.log(lo), np.log(hi)
-    t = np.full(outside.shape, 0.5)
+    wide = np.array(ALPHA_BRACKET) * s[0] ** 2
+    lo, hi = (wide if (outside > 0.0).any()
+              else np.clip(delta * np.array([0.5 * s[-1], 2.0 * s[0]]), *wide))
+    xs = np.linspace(np.log(lo), np.log(hi), _ROOT_GRID)
+    nodes = np.exp(xs)
+    nodes[[0, -1]] = lo, hi
+    # Rows: d at every node, then its negative terms' sum, for every point.
+    terms = (nodes[:, None] ** 2 - d2s2.T) / (s2.T + nodes[:, None]) ** 2
+    both = np.vstack([terms, np.minimum(terms, 0.0)]) @ beta2
+    d, fall = both[:_ROOT_GRID], both[_ROOT_GRID:]
+    d += outside
+    points = np.arange(outside.size)
+    cell = np.clip(np.count_nonzero(d < 0.0, axis=0) - 1, 0, _ROOT_GRID - 2)
+    # x1 is the cell end with a node beyond it, that node x3: the lower
+    # end, or the upper one in the first cell.
+    up = cell == 0
+    beyond = np.where(up, 2, cell - 1)
+    x3, f3 = xs[beyond], d[beyond, points]
+    # Terms rise with alpha, so on the cell sum_i |term_i| + outside is at
+    # most d(b) - fall(b) - fall(a): positive terms at b, negative at a.
+    floor = _FLOOR_ULPS * np.finfo(float).eps * (
+        d[cell + 1, points] - fall[cell + 1, points] - fall[cell, points])
+    del both, d, fall                   # freed before the elementwise passes
+    f_lo = _discrepancies(nodes[cell], s2, d2s2, beta2, outside)
+    f_hi = _discrepancies(nodes[cell + 1], s2, d2s2, beta2, outside)
+    no_root = (((cell == 0) & (f_lo > 0.0))
+               | ((cell == _ROOT_GRID - 2) & (f_hi < 0.0)))
+    x1, f1 = xs[cell + up], np.where(up, f_hi, f_lo)
+    x2, f2 = xs[cell + 1 - up], np.where(up, f_lo, f_hi)
+    # A cell whose ends do not bracket the root (a rounding miss of the
+    # product) falls back to the whole bracket, bisected first, with no floor.
+    miss = np.flatnonzero(~no_root & ((f_lo > 0.0) | (f_hi < 0.0)))
+    if miss.size:
+        ends = [_discrepancies(np.full(miss.size, end), s2, d2s2, beta2[:, miss],
+                               outside[miss]) for end in (lo, hi)]
+        no_root[miss] = (ends[0] > 0.0) | (ends[1] < 0.0)
+        x1[miss], f1[miss], x2[miss], f2[miss] = xs[0], ends[0], xs[-1], ends[1]
+        f3[miss], floor[miss] = np.nan, 0.0
     active = ~no_root
     for _ in range(BISECT_ITERATIONS):
-        # Converged: a bracket within 4 ulps of log alpha (of 1 near 0),
-        # or an exact zero at the end nearer the root.
+        # Stopped: |d| at the nearer end within its rounding floor (an exact
+        # zero included), or a bracket within 4 ulps of log alpha (of 1 near 0).
         nearer = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(nearer, x1, x2), np.where(nearer, f1, f2)
         tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(xm), 1.0)
-        active &= (np.abs(x2 - x1) >= tol) & (fm != 0.0)
+        active &= (np.abs(x2 - x1) >= tol) & (np.abs(fm) > floor)
         if not active.any():
             break
-        x = x1 + t * (x2 - x1)
-        f = _discrepancies(np.exp(x), s2, d2s2, beta2, outside)
-        # The new point replaces the bracket end of its own sign; the end
-        # it replaces becomes x3.  Stopped points keep their bracket.
-        same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same | ~active, x2, x1), np.where(same | ~active, f2, f1)
-        x1, f1 = np.where(active, x, x1), np.where(active, f, f1)
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = (x1 - x2) / (x3 - x2)
             phi = (f1 - f2) / (f3 - f2)
@@ -244,7 +283,14 @@ def _root_alpha(s: np.ndarray, beta2: np.ndarray, outside: np.ndarray,
                          - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3),
                          0.5)
             tl = 0.5 * tol / np.abs(x2 - x1)
-        t = np.clip(t, tl, 1.0 - tl)
+        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        f = _discrepancies(np.exp(x), s2, d2s2, beta2, outside)
+        # The new point replaces the bracket end of its own sign; the end
+        # it replaces becomes x3.  Stopped points keep their bracket.
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same | ~active, x2, x1), np.where(same | ~active, f2, f1)
+        x1, f1 = np.where(active, x, x1), np.where(active, f, f1)
     return np.exp(np.where(np.abs(f1) < np.abs(f2), x1, x2)), no_root
 
 

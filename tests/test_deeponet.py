@@ -200,6 +200,23 @@ class TestCorpus:
                       <= corpus.radii[i])
             np.testing.assert_array_equal(corpus.labels[i], inside.astype(np.uint8))
 
+    # 0.7496555682941201 is a centre-to-position distance as the norm rounds
+    # it, at which dx^2 + dy^2 <= R^2 and np.hypot both label other disks.
+    @pytest.mark.parametrize("radius_range", [(1.0, 1.0), (2.0, 2.0), (0.2, 2.5),
+                                              (0.7496555682941201,) * 2])
+    def test_labels_are_the_norm_test_byte_for_byte(self, radius_range):
+        """Radii of exactly 1 and 2 put trunk centres one and two grid
+        spacings from a disk's centre on its boundary, where the distance
+        must round as np.linalg.norm does for the centre to count inside."""
+        trunk = _tiny_trunk()
+        corpus = gen_training_set(trunk, K, 4, 4, seed=4, radius_range=radius_range)
+        distances = np.linalg.norm(trunk.centers[None, :, :]
+                                   - corpus.centers[:, None, :], axis=2)
+        want = (distances <= corpus.radii[:, None]).astype(np.uint8)
+        assert corpus.labels.tobytes() == want.tobytes()
+        if radius_range[0] == radius_range[1]:
+            assert np.any(distances == radius_range[0])
+
     def test_matrices_are_disk_far_fields(self, tiny_corpus):
         _, corpus = tiny_corpus
         i = 31

@@ -295,6 +295,20 @@ class TestBatchedDisks:
         with pytest.raises(ValueError, match="disk 3: "):
             disk_farfields(centers, radii, K, 8, 8)
 
+    # k R overflowed to inf, then warned twice and failed in specialfn; a
+    # finite kR past 2**63 was cast to a negative order and came out zeros.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refuses_overflowing_kr_by_index(self):
+        centers, radii = _disks(4, 7)
+        radii[2] = 1e10
+        with pytest.raises(ValueError, match=r"^disk 2: kR = inf is not finite$"):
+            disk_farfields(centers, radii, 1e300, 8, 8)
+        with pytest.raises(ValueError, match="disk 0: kR = inf is not finite"):
+            disk_farfields([[0.0, 0.0]], [1e10], 1e300, 4, 4)
+        radii[2] = 1e19
+        with pytest.raises(ValueError, match=f"exceeds cap {ORDER_CAP}"):
+            disk_farfields(centers, radii, 2.0, 8, 8)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_center_by_index(self, value):
         centers, radii = _disks(5, 6)
@@ -475,6 +489,7 @@ def test_wavelength_check_passes_the_model_wavelength_only():
     (0.0, K, "radius must be positive and finite, got 0.0"),
     (1e-308, K, r"disk 0: kR = 6\.28\d*e-308 is below 1e-300"),
     (np.nextafter(forward.MIN_KR, 0.0), 1.0, r"disk 0: kR = 9\.9+e-301 is below"),
+    (1e300, 1e300, "disk 0: kR = inf is not finite"),
     (0.5, np.nan, "wavenumber must be positive and finite, got nan"),
     (0.5, np.inf, "wavenumber must be positive and finite, got inf"),
     (0.5, -1.0, "wavenumber must be positive and finite, got -1.0"),

@@ -1,12 +1,14 @@
 """Dense network core: forward/backward exactness, Adam, serialization."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
 
 from lsmnet import archive
 from lsmnet.nn import (
+    BETA1,
     AdamState,
     LrSchedule,
     Mlp,
@@ -302,6 +304,37 @@ class TestAdam:
         assert state.step == saved_step
         np.testing.assert_array_equal(state.m[0], saved_m[0])
         np.testing.assert_array_equal(params[0], saved_p[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_next_to_overflowing_sum_aborts_untouched(self, bad):
+        """A non-finite entry is refused whether or not the gradient's sum
+        overflows, and refused before either parameter's state moves."""
+        params = [np.zeros(3), np.zeros(1)]
+        state = make_adam(params, 1e-2)
+        for grads in ([np.array([1e308, 1e308, bad]), np.ones(1)],
+                      [np.ones(3), np.array([bad])]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    adam_step(state, params, grads)
+            assert state.step == 0
+            for array in (*state.m, *state.v, *params):
+                assert not array.any()
+
+    def test_finite_gradient_whose_sum_overflows_is_applied(self):
+        """[1e308, 1e308] sums to inf but every entry is finite: the step
+        is taken.  Its squares overflow the second moment to inf, so that
+        parameter holds still; the other one moves by lr."""
+        params = [np.zeros(2), np.zeros(1)]
+        state = make_adam(params, 1e-2)
+        grad = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            adam_step(state, params, [grad, np.ones(1)])
+        assert state.step == 1
+        np.testing.assert_array_equal(state.m[0], (1.0 - BETA1) * grad)
+        assert np.all(np.isinf(state.v[0]))
+        np.testing.assert_array_equal(params[0], np.zeros(2))
+        np.testing.assert_allclose(params[1], [-1e-2], rtol=1e-6)
 
     def test_explicit_lr_overrides_base(self):
         a = [np.array([1.0])]

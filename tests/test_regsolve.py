@@ -401,7 +401,8 @@ def kite_50():
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts calls of the vectorized discrepancy: one per root-finder step
-    plus the two bracket-end checks, for every block of points."""
+    plus the two cell-end checks, for every block of points, and the two
+    ends of the whole bracket for a block's missed cells."""
     calls = []
     real = regsolve._discrepancies
 
@@ -497,7 +498,7 @@ class TestRootFinder:
     def test_steps_stop_at_convergence_and_never_pass_the_cap(
             self, kite_50, evaluations, monkeypatch):
         """Three blocks of rows (1000, 1000 and 500 points): each costs two
-        bracket-end checks plus one evaluation per step, the steps end once
+        cell-end checks plus one evaluation per step, the steps end once
         every point of the block has converged, and never exceed the cap."""
         noisy, delta, svdt, grid = kite_50
         monkeypatch.setattr(regsolve, "_CHUNK", 1000)
@@ -513,6 +514,118 @@ class TestRootFinder:
         top = svdt.s[0] ** 2
         assert np.all(capped.alpha.alpha >= regsolve.ALPHA_BRACKET[0] * top)
         assert np.all(capped.alpha.alpha <= regsolve.ALPHA_BRACKET[1] * top)
+
+    def test_kite_blocks_take_at_most_six_steps(self, kite_50, evaluations):
+        """The grid's cell and the seeded first step leave a short polish:
+        one 2,500-point block, two cell-end checks and at most six steps."""
+        noisy, delta, svdt, grid = kite_50
+        lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt)
+        assert evaluations == [grid.resolution ** 2] * len(evaluations)
+        assert len(evaluations) <= 2 + 6
+
+    def test_first_step_is_inverse_quadratic(self, kite_50, monkeypatch):
+        """The node beyond the cell seeds the first step: one step puts
+        every root within 1e-2 of its polished value in log alpha, where
+        bisecting the 0.25-wide cell left up to 6e-2."""
+        noisy, delta, svdt, grid = kite_50
+        polished = lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt).alpha.alpha
+        monkeypatch.setattr(regsolve, "BISECT_ITERATIONS", 1)
+        first = lsm_indicator(noisy, grid, Morozov(delta), svdt=svdt).alpha.alpha
+        assert np.max(np.abs(np.log(first / polished))) <= 1e-2
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    @pytest.mark.parametrize("shape", [(50, 50), (60, 40), (40, 60)],
+                             ids=["kite_50", "nonsquare-m>n", "nonsquare-m<n"])
+    def test_kite_roots_within_16_ulps_of_their_conditioning(
+            self, shape, scale, kite_50, monkeypatch):
+        """Stopping at the rounding floor keeps every rooted alpha within 16
+        ulps of its conditioning of the bisection root, with the same
+        rootless points."""
+        noisy, delta, svdt, grid = kite_50 if shape == (50, 50) else _nonsquare_kite(*shape)
+        real = regsolve._root_alpha
+        blocks = []
+
+        def spy(s, beta2, outside, delta):
+            root, no_root = real(s, beta2, outside, delta)
+            bisected, bisect_none = _bisection_oracle(s, beta2, outside, delta)
+            np.testing.assert_array_equal(no_root, bisect_none)
+            rooted = ~no_root
+            bound = _root_rtol(s, beta2[:, rooted], outside[rooted], delta,
+                               bisected[rooted], floor=0.0, ulps=16.0)
+            assert np.all(np.abs(root[rooted] / bisected[rooted] - 1.0) <= bound)
+            blocks.append(rooted.sum())
+            return root, no_root
+
+        monkeypatch.setattr(regsolve, "_root_alpha", spy)
+        lsm_indicator(noisy, grid, Morozov(scale * delta), svdt=svdt)
+        assert sum(blocks) > 0
+
+
+class _FlippedNode(np.ndarray):
+    """beta^2 whose matrix products come out with the discrepancy's sign
+    flipped at one node of the root grid: a rounding miss made certain."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _FlippedNode) else x
+                 for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            # Row `node` holds d - outside there; make it -d - outside.
+            out[self.node] = -out[self.node] - 2.0 * self.outside
+        return out
+
+
+class TestGridMiss:
+    @pytest.mark.parametrize("node", [0, 1, 14, 30, 31])
+    @pytest.mark.parametrize("with_outside", [False, True], ids=["in-range", "outside"])
+    def test_flipped_node_falls_back_to_the_whole_bracket(
+            self, node, with_outside, evaluations):
+        """Every rooted point whose cell the flip moves is missed, and its
+        search restarts on the whole bracket: roots and the rootless mask
+        are still the wide-bracket finder's."""
+        s = np.array([3.0, 1.0, 0.25, 0.0])
+        rng = np.random.default_rng(node)
+        beta2 = rng.uniform(0.0, 1.0, size=(s.size, 64)) ** 4
+        outside = (rng.uniform(0.0, 0.1, size=64) if with_outside
+                   else np.zeros(64))
+        flipped = beta2.view(_FlippedNode)
+        flipped.node, flipped.outside = node, outside
+        missed = 0
+        for delta in s[0] * np.logspace(-8.0, 2.0, 11):
+            evaluations.clear()
+            root, no_root = regsolve._root_alpha(s, flipped, outside, delta)
+            want, want_none = _wide_bracket_oracle(s, beta2, outside, delta)
+            np.testing.assert_array_equal(no_root, want_none)
+            rooted = ~no_root
+            np.testing.assert_allclose(root[rooted], want[rooted], rtol=1e-12, atol=0.0)
+            assert evaluations[:2] == [64, 64]
+            if len(evaluations) > 2 and evaluations[2] < 64:
+                missed += evaluations[2]
+                assert evaluations[3] == evaluations[2]
+        assert missed > 0
+
+    def test_roots_on_grid_nodes_stay_bracketed(self):
+        """Two-term discrepancies zeroed at each interior node of the
+        spectral bracket, nudged by a few ulps either way: the products and
+        the elementwise sums may disagree on the node's sign, and the roots
+        are still the wide-bracket finder's with no point rootless."""
+        s, delta = np.array([2.0, 0.5]), 0.01
+        lo, hi = delta * 0.5 * s[-1], delta * 2.0 * s[0]
+        nodes = np.exp(np.linspace(np.log(lo), np.log(hi), regsolve._ROOT_GRID))
+        s2 = s[:, None] ** 2
+        terms = (nodes ** 2 - delta ** 2 * s2) / (s2 + nodes) ** 2
+        inner = (terms[0] < 0.0) & (terms[1] > 0.0)
+        nudge = 1.0 + np.arange(-4, 5) * np.finfo(float).eps
+        ratio = (-terms[0] / terms[1])[inner]
+        beta2 = np.vstack([np.ones(ratio.size * nudge.size),
+                           np.outer(ratio, nudge).ravel()])
+        outside = np.zeros(beta2.shape[1])
+        root, no_root = regsolve._root_alpha(s, beta2, outside, delta)
+        want, want_none = _wide_bracket_oracle(s, beta2, outside, delta)
+        assert inner.sum() >= 10 and not no_root.any() and not want_none.any()
+        np.testing.assert_allclose(root, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(root, np.repeat(nodes[inner], nudge.size),
+                                   rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module", params=[(60, 40), (40, 60)], ids=["m>n", "m<n"])
