@@ -118,7 +118,8 @@ def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
     overflows); J_p is Miller's backward recurrence (DLMF 3.6(vi)) normalized
     by 1 = J_0 + 2 sum J_2k (A&S 9.1.46), started per row at an even order
     16 + 6 kr^(1/3) past max(orders[i], kr_i + 20): a row ignores the
-    others.  A row with kr below MIN_KR or not finite is refused by its index.
+    others.  A row with kr below MIN_KR, not finite, or whose order exceeds
+    ORDER_CAP is refused by its index.
     """
     bad = np.flatnonzero(~(np.isfinite(kr) & (kr >= MIN_KR)))
     if bad.size:
@@ -126,9 +127,12 @@ def _ratio_table(kr: np.ndarray, orders: np.ndarray) -> np.ndarray:
         why = (f"is below {MIN_KR:g}, where the J_p recurrence overflows"
                if kr[i] < MIN_KR else "is not finite")
         raise ValueError(f"disk {i}: kR = {float(kr[i])!r} {why}")
+    bad = np.flatnonzero(orders > ORDER_CAP)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"disk {i}: kR = {float(kr[i])!r} needs order "
+                         f"{int(orders[i])}, which exceeds cap {ORDER_CAP}")
     top = max(int(orders.max()), 1)
-    if top > ORDER_CAP:
-        raise ValueError(f"order {top} exceeds cap {ORDER_CAP}")
     reach = np.maximum(orders, np.ceil(kr) + 20) + np.floor(6.0 * np.cbrt(kr)) + 16
     start = 2 * np.ceil(reach / 2.0).astype(int)
     j = np.zeros((kr.size, top + 1))
@@ -243,6 +247,8 @@ def operator_eigenvalues_disk(radius: float, k: float, p_max: int) -> np.ndarray
     check_wavenumber(k)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    if p_max > ORDER_CAP:
+        raise ValueError(f"p_max: order {p_max} exceeds cap {ORDER_CAP}")
     ratios = _ratio_table(np.array([k * radius]), np.array([p_max]))[0, :p_max + 1]
     return -np.sqrt(8.0 * np.pi / k) * np.exp(-1j * np.pi / 4.0) * ratios
 

@@ -1,7 +1,9 @@
 """Binary archives: the shared reader, the on-disk layouts, malformed files."""
 
+import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,3 +262,110 @@ def test_write_lines_is_utf8_with_one_lf_per_line(tmp_path):
     # only the one final LF added.
     archive.write_lines(path, ("header", "a\nb"))
     assert path.read_bytes() == b"header\na\nb\n"
+
+
+# -- format_g17 against '%.17g' itself ----------------------------------------
+
+def _printf_matrix(values):
+    """The oracle: `'%.17g' %` of each value, NUL-padded like format_g17."""
+    return np.array([b"%.17g" % v for v in values.tolist()],
+                    dtype=f"S{archive.G17_WIDTH}").view(np.uint8).reshape(
+                        -1, archive.G17_WIDTH)
+
+
+def _exact_exponent(value):
+    """floor(log10 |value|), decided in exact rationals."""
+    exact = abs(Fraction(value))
+    e = math.floor(math.log10(value) if value > 0 else math.log10(-value))
+    while Fraction(10) ** e > exact:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= exact:
+        e += 1
+    return e
+
+
+def _g17_cases():
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)])
+    # Each side of the fixed/scientific switches: 40 doubles on either side
+    # of 1e-4 and 1e17, and of the largest values that still round below them.
+    switches = np.concatenate([
+        start * np.ones(81) + np.arange(-40, 41) * np.spacing(start)
+        for start in (1e-4, 9.9999999999999995e-5, 1e17, 99999999999999992.0, 1e16)])
+    # odd / 2**17, for odd between 2**17 and 2**18, has 18 significant
+    # digits, the last a 5: an exact tie at 17 digits (131073 / 131072 =
+    # 1.00000762939453125), moved by powers of ten it absorbs exactly.
+    odd = np.append(rng.choice(np.arange(2 ** 17 + 3, 2 ** 18, 2), size=4095,
+                               replace=False), 131073)
+    ties = np.concatenate([odd / 2.0 ** 17 * 10.0 ** j for j in range(16)])
+    subnormals = rng.integers(1, 2 ** 52, size=2000, dtype=np.uint64).view(np.float64)
+    cases = {
+        "bits": rng.integers(0, 2 ** 64, size=300_000, dtype=np.uint64).view(np.float64),
+        "scaled normals": rng.standard_normal(100_000)
+        * 10.0 ** rng.integers(-40, 40, size=100_000),
+        "integers": np.arange(-20_000.0, 20_000.0),
+        "powers": powers, "switches": switches, "ties": ties,
+        "subnormals": subnormals,
+        "specials": np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                              1.7976931348623157e308, 1e-280, 1e280]),
+    }
+    return {name: np.concatenate([v, -v]) for name, v in cases.items()}
+
+
+def test_format_g17_is_printf_byte_for_byte(monkeypatch):
+    """Over a million values, every row is what `'%.17g' %` prints; and
+    each fallback category was actually printed by the fallback."""
+    cases = _g17_cases()
+    values = np.concatenate(list(cases.values()))
+    assert values.size >= 1_000_000
+    printed = []
+    printf = archive._printf
+    monkeypatch.setattr(archive, "_printf",
+                        lambda v: printed.append(v.copy()) or printf(v))
+    got = archive.format_g17(values)
+    want = _printf_matrix(values)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, [(values[i], got[i].tobytes(), want[i].tobytes())
+                           for i in bad[:5]]
+    fell = np.concatenate(printed)
+    magnitude = np.abs(fell)
+    assert np.isin(cases["ties"], fell).all()
+    assert (fell == 0.0).any() and np.signbit(fell[fell == 0.0]).any()
+    assert np.isnan(fell).any() and np.isinf(fell).any()
+    assert ((magnitude > 0.0) & (magnitude < 1e-280)).any()
+    assert ((magnitude > 1e280) & np.isfinite(magnitude)).any()
+    # In range, the double-double product decided every value but those
+    # within the tie window of a half-unit tie (exact ties, mostly) and
+    # those scaled to within it of 10**16, where one retry may not settle E.
+    in_range = fell[(magnitude >= 1e-280) & (magnitude <= 1e280)]
+    assert in_range.size < 0.2 * values.size
+    for value in in_range[~np.isin(in_range, cases["ties"])].tolist():
+        scaled = abs(Fraction(value)) * Fraction(10) ** (16 - _exact_exponent(value))
+        assert (abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-9
+                or abs(scaled - 10 ** 16) < 1e-9), value
+
+
+def test_format_g17_cases_reach_the_exponent_retry_and_the_carry():
+    """Some neighbours of powers of ten have floor(log10) one off their
+    exponent (the retry), and some round up to the next power (the carry)."""
+    powers = _g17_cases()["powers"]
+    powers = powers[(np.abs(powers) >= 1e-280) & (np.abs(powers) <= 1e280)]
+    exact = np.array([_exact_exponent(v) for v in powers.tolist()])
+    assert (np.floor(np.log10(np.abs(powers))) != exact).any()
+    text = _printf_matrix(powers).view(f"S{archive.G17_WIDTH}").ravel()
+    carried = [v for v, t in zip(powers.tolist(), text.tolist())
+               if t.lstrip(b"-").startswith(b"1e")
+               and abs(Fraction(v)) < Fraction(10) ** int(t.split(b"e")[1])]
+    assert carried
+
+
+@pytest.mark.parametrize("values", [np.zeros(0), np.array([0.25]),
+                                    np.array([[1.5, -2.0], [1e300, np.nan]])])
+def test_format_g17_shapes(values):
+    """Any shape is flattened to one row per value; an empty array gives
+    an empty matrix."""
+    got = archive.format_g17(values)
+    assert got.shape == (values.size, archive.G17_WIDTH) and got.dtype == np.uint8
+    np.testing.assert_array_equal(got, _printf_matrix(values.ravel()))

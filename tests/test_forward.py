@@ -306,7 +306,8 @@ class TestBatchedDisks:
         with pytest.raises(ValueError, match="disk 0: kR = inf is not finite"):
             disk_farfields([[0.0, 0.0]], [1e10], 1e300, 4, 4)
         radii[2] = 1e19
-        with pytest.raises(ValueError, match=f"exceeds cap {ORDER_CAP}"):
+        with pytest.raises(ValueError, match=r"^disk 2: kR = 2e\+19 needs order "
+                           rf"20000000000000000000, which exceeds cap {ORDER_CAP}$"):
             disk_farfields(centers, radii, 2.0, 8, 8)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -422,7 +423,7 @@ class TestRatioTable:
     def test_order_cap_is_refused_by_name(self):
         operator_eigenvalues_disk(0.5, K, ORDER_CAP)
         with pytest.raises(ValueError,
-                           match=f"order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"):
+                           match=f"^p_max: order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}$"):
             operator_eigenvalues_disk(0.5, K, ORDER_CAP + 1)
 
 
