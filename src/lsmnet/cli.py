@@ -245,7 +245,10 @@ def _config_from_entries(entries: dict) -> RunConfig:
     for key, value in entries.items():
         if key.startswith("obstacle."):
             parts = key.split(".")
-            if len(parts) != 3 or not parts[1].isdigit():
+            # Only canonical ASCII indices: obstacle.01, or an index in
+            # another script's digits, would silently override obstacle.1.
+            if (len(parts) != 3 or not parts[1].isdecimal()
+                    or str(int(parts[1])) != parts[1]):
                 raise ValueError(f"unknown configuration key {key!r}")
             obstacle_entries.setdefault(int(parts[1]), {})[parts[2]] = value
         elif key in known:
@@ -598,7 +601,7 @@ def cmd_ntk(config: RunConfig, s_values=None) -> None:
     from . import archive, deeponet, forward, ntk
 
     out = _outdir(config)
-    sweep = tuple(sorted(s_values)) if s_values else DEFAULT_NTK_SWEEP
+    sweep = tuple(sorted(set(s_values))) if s_values else DEFAULT_NTK_SWEEP
     template = deeponet.make_trunk(_NTK_LAM, _NTK_HALFWIDTH, _NTK_H,
                                    0.15)
     outputs = template.p_h

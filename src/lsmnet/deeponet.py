@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import archive, nn, noisenet
-from .forward import (FarFieldMatrix, check_wavelength, check_wavenumber,
-                      disk_farfields, fourier_resample)
+from .forward import (FarFieldMatrix, check_range, check_wavelength,
+                      check_wavenumber, disk_farfields, fourier_resample)
 from .regsolve import IndicatorField, RegField, SamplingGrid, tensor_points
 
 logger = logging.getLogger(__name__)
@@ -191,9 +191,8 @@ def gen_training_set(trunk: RbfTrunk, k: float, m0: int, n0: int, seed: int,
     """
     if radius_range is None:
         radius_range = (0.5 * trunk.lam, 1.5 * trunk.lam)
+    check_range("radius", radius_range)
     r_lo, r_hi = radius_range
-    if not 0.0 < r_lo <= r_hi < np.inf:
-        raise ValueError(f"radius range {radius_range} must be finite, 0 < low <= high")
     rng = np.random.Generator(np.random.PCG64(seed))
     halfwidth = trunk.lam * trunk.L
     positions = tensor_points(np.linspace(-halfwidth, halfwidth,

@@ -4,8 +4,9 @@ The far-field matrix discretizes the far-field operator on equispaced
 angle grids: rows are observation directions theta_i = 2*pi*i/m, columns
 are incidence directions phi_j = 2*pi*j/n.  All entries are complex and
 the wavenumber k travels with the matrix so that downstream solvers never
-have to guess it; `check_wavenumber` and `check_wavelength` are the one
-home of the rules every module applies to k and to a model's wavelength.
+have to guess it; `check_wavenumber`, `check_wavelength` and `check_range`
+are the one home of the rules every module applies to k, to a model's
+wavelength and to a corpus draw range.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def check_wavenumber(k: float) -> None:
     """Refuse a wavenumber that is not positive and finite (NaN included)."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
+
+
+def check_range(what: str, bounds) -> None:
+    """Refuse a corpus draw range unless it is finite with 0 < low <= high."""
+    low, high = bounds
+    if not 0.0 < low <= high < np.inf:
+        raise ValueError(f"{what} range {bounds} must be finite, 0 < low <= high")
 
 
 def check_wavelength(lam: float, k: float, what: str = "far field") -> None:
@@ -272,103 +280,89 @@ def add_noise(farfield: FarFieldMatrix, eta: float, seed: int):
     return noisy, NoiseRealization(eta=float(eta), seed=int(seed), delta=delta)
 
 
-def _fold_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    """Map DFT coefficients of one axis onto new_size bins by congruence.
+def _resample(farfield: FarFieldMatrix, keep: tuple, shape: tuple) -> FarFieldMatrix:
+    """Samples on the `shape` grids of the interpolant through the `keep`
+    lowest signed frequencies of each axis.
 
-    This samples the trigonometric interpolant at the new nodes: every
-    source mode lands on its frequency mod new_size, and an even source's
-    shared +-old/2 bin enters as a half-weight cosine pair.  Upsampling is
-    zero padding.  Downsampling discards nothing, so white noise keeps its
-    mean per-entry variance, but it stays white only when old is a
-    multiple of new_size (at 50 -> 30, twenty bins get two modes, ten one).
+    Entries are periodic in both angles, so this acts on the 2-d DFT mode
+    by mode.  An axis keeps the modes |f| <= keep//2 in ascending order,
+    one gather; an even keep's -keep/2 mode enters as a half-weight cosine
+    pair, so it is halved and also ends the row as +keep/2.  Mode f lands
+    on bin f mod new: the row is laid into zeros so that f = 0 starts a
+    block of new bins, and the blocks are summed, which zero-pads an axis
+    that grows.  Each axis is scaled by new/old once.  With nothing to cut
+    or fold, the result is an exact copy.
     """
-    old = spectrum.shape[axis]
-    coeff = np.moveaxis(spectrum, axis, 0).copy()
-    freqs = np.rint(np.fft.fftfreq(old) * old).astype(int)
-    out = np.zeros((new_size,) + coeff.shape[1:], dtype=complex)
-    if old % 2 == 0:
-        coeff[old // 2] *= 0.5
-    np.add.at(out, np.mod(freqs, new_size), coeff)
-    if old % 2 == 0:
-        out[(old // 2) % new_size] += coeff[old // 2]
-    out *= new_size / old
-    return np.moveaxis(out, 0, axis)
-
-
-def _cut_axis(spectrum: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    """The new_size lowest signed frequencies of one axis, unscaled.
-
-    An even new_size keeps the -new_size/2 mode alone, so every kept bin
-    holds exactly one source mode.
-    """
-    freqs = np.rint(np.fft.fftfreq(new_size) * new_size).astype(int)
-    return np.take(spectrum, np.mod(freqs, spectrum.shape[axis]), axis=axis)
+    if min(shape) < _MIN_ANGLES:
+        raise ValueError(f"resampled grid needs at least {_MIN_ANGLES} angles per axis")
+    if keep == farfield.shape == shape:
+        return FarFieldMatrix(farfield.entries.copy(), farfield.k)
+    spectrum = np.fft.fft2(farfield.entries)
+    for axis, (kept, new) in enumerate(zip(keep, shape)):
+        old = spectrum.shape[axis]
+        if kept == old == new:
+            continue
+        top = kept // 2
+        lead = -top % new
+        blocks = -(-(lead + 2 * top + 1) // new)
+        size = list(spectrum.shape)
+        size[axis] = blocks * new
+        padded = np.zeros(size, dtype=complex)
+        row = np.moveaxis(padded, axis, 0)[lead:lead + 2 * top + 1]
+        row[...] = np.moveaxis(spectrum, axis, 0)[np.arange(-top, top + 1) % old]
+        if kept % 2 == 0:
+            row[0] *= 0.5
+            row[-1] = row[0]
+        size[axis:axis + 1] = blocks, new
+        spectrum = padded.reshape(size).sum(axis=axis) * (new / old)
+    return FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
 
 
 def fourier_resample(farfield: FarFieldMatrix, m_new: int, n_new: int) -> FarFieldMatrix:
     """Resample onto new canonical angle grids by trigonometric interpolation.
 
-    Entries are periodic in both angles, so resampling acts on the 2-d DFT
-    mode by mode: upsampling zero-pads, and downsampling keeps the lowest
-    frequencies, summing the +-N/2 pair of an even target into one bin.
-    Requesting the current shape returns an identical copy, which makes
-    the operation idempotent.  An upsample followed by the matching
-    downsample reproduces the original matrix to rounding.
+    Upsampling zero-pads, and downsampling keeps the lowest frequencies,
+    summing the +-N/2 pair of an even target into one bin: an axis keeps
+    min(old, new | 1) modes.  Requesting the current shape returns an
+    identical copy, which makes the operation idempotent.  An upsample
+    followed by the matching downsample reproduces the original matrix to
+    rounding.
     """
-    if m_new < _MIN_ANGLES or n_new < _MIN_ANGLES:
-        raise ValueError(f"resampled grid needs at least {_MIN_ANGLES} angles per axis")
-    if (m_new, n_new) == farfield.shape:
-        return FarFieldMatrix(farfield.entries.copy(), farfield.k)
-    spectrum = np.fft.fft2(farfield.entries)
-    for axis, new in enumerate((m_new, n_new)):
-        old = spectrum.shape[axis]
-        if new > old:
-            spectrum = _fold_axis(spectrum, new, axis)
-        elif new < old:
-            cut = _cut_axis(spectrum, new, axis)
-            if new % 2 == 0:
-                shared = (slice(None),) * axis + (new // 2,)
-                cut[shared] += spectrum[shared]
-            spectrum = cut * (new / old)
-    return FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
+    shape = (m_new, n_new)
+    return _resample(farfield, tuple(min(old, new | 1) for old, new
+                                     in zip(farfield.shape, shape)), shape)
 
 
 def fold_to_shape(farfield: FarFieldMatrix, m0: int, n0: int) -> FarFieldMatrix:
     """Samples of the trigonometric interpolant on the m0 x n0 angle grids.
 
     Upsampling coincides with ``fourier_resample``.  Downsampling differs
-    from its frequency cut: it keeps all the high-frequency energy by
-    folding it onto the coarse grid.  When a source axis is a multiple of
-    the target this is exact subsampling and white noise stays white;
-    for other sizes the coarse bins collect unequal numbers of modes, so
-    norm estimates only transfer after the cut in ``estimator_input``.
+    from its frequency cut: it keeps every source mode by folding the
+    high frequencies onto the coarse grid.  When a source axis is a
+    multiple of the target this is exact subsampling and white noise
+    stays white; for other sizes the coarse bins collect unequal numbers
+    of modes, so norm estimates only transfer after the cut in
+    ``estimator_input``.
     """
-    spectrum = np.fft.fft2(farfield.entries)
-    for axis, new in enumerate((m0, n0)):
-        if new != spectrum.shape[axis]:
-            spectrum = _fold_axis(spectrum, new, axis)
-    return FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
+    return _resample(farfield, farfield.shape, (m0, n0))
 
 
 def estimator_input(farfield: FarFieldMatrix, m0: int,
                     n0: int) -> tuple[FarFieldMatrix, float]:
     """The m0 x n0 matrix a norm estimator sees, and its noise-norm correction.
 
-    An axis of m > m0 angles is first cut to its m' = m0 * floor(m/m0)
-    lowest frequencies; folding m' onto m0 is then exact subsampling, so
-    every coarse bin collects the same number of modes and white noise
-    arrives white.  The cut keeps m'/m of the noise variance per axis, so
-    a norm estimated on the native matrix is scaled back to the
-    measurement by the returned factor sqrt(m n / (m' n')).  Axes that
-    are already multiples of the native size, and axes that are
-    upsampled, skip the cut and get a factor of exactly 1.
+    An axis of m > m0 angles keeps its m' = m0 * floor(m/m0) lowest
+    frequencies; folding m' onto m0 is then exact subsampling, so every
+    coarse bin collects the same number of modes and white noise arrives
+    white.  The cut keeps m'/m of the noise variance per axis, so a norm
+    estimated on the native matrix is scaled back to the measurement by
+    the returned factor sqrt(m n / (m' n')).  Axes that are already
+    multiples of the native size, and axes that are upsampled, skip the
+    cut and get a factor of exactly 1; a native-shape matrix comes back
+    as an exact copy.
     """
     m, n = farfield.shape
     kept = tuple(size if size <= native else native * (size // native)
                  for size, native in ((m, m0), (n, n0)))
-    if kept != (m, n):
-        spectrum = np.fft.fft2(farfield.entries)
-        for axis, size in enumerate(kept):
-            spectrum = _cut_axis(spectrum, size, axis) * (size / spectrum.shape[axis])
-        farfield = FarFieldMatrix(np.fft.ifft2(spectrum), farfield.k)
-    return fold_to_shape(farfield, m0, n0), math.sqrt(m * n / (kept[0] * kept[1]))
+    return (_resample(farfield, kept, (m0, n0)),
+            math.sqrt(m * n / (kept[0] * kept[1])))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import archive, nn
-# fold_to_shape is re-exported: it is the estimator's documented input map.
-from .forward import (FarFieldMatrix, add_noise, check_wavenumber, disk_farfields,
-                      estimator_input, fold_to_shape)
+# fold_to_shape is re-exported for callers; the estimator reads estimator_input.
+from .forward import (FarFieldMatrix, add_noise, check_range, check_wavenumber,
+                      disk_farfields, estimator_input, fold_to_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -125,12 +125,10 @@ def gen_noise_dataset(k: float, m0: int, n0: int, seed: int, count: int = 400,
     whole corpus.  The label is the log perturbation norm normalized by
     sqrt(m0) + sqrt(n0).
     """
+    check_range("noise", eta_range)
+    check_range("radius", radius_range)
     e_lo, e_hi = eta_range
     r_lo, r_hi = radius_range
-    if not 0.0 < e_lo <= e_hi < np.inf:
-        raise ValueError(f"noise range {eta_range} must be finite, 0 < low <= high")
-    if not 0.0 < r_lo <= r_hi < np.inf:
-        raise ValueError(f"radius range {radius_range} must be finite, 0 < low <= high")
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
     _check_native_shape(m0, n0)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -214,6 +215,32 @@ class TestSingleRead:
         assert parse_config(path).threads == 0
         with pytest.raises(FileNotFoundError):
             main(["gen", "--config", str(tmp_path / "missing.cfg")])
+
+    @pytest.mark.parametrize("index", ["01", "\u0663", "\u0661", "+1", "-1",
+                                       "1_0", "\u00b9"])
+    def test_non_canonical_obstacle_index_is_unknown(self, index, tmp_path):
+        # Another spelling of index 1 or 3 would silently override it.
+        key = f"obstacle.{index}.radius"
+        path = tmp_path / "cfg.txt"
+        path.write_text("obstacle.1.type = disk\n"
+                        "obstacle.1.center_x = 0\n"
+                        "obstacle.1.center_y = 0\n"
+                        "obstacle.1.radius = 0.5\n"
+                        f"{key} = 1.25\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown configuration key "
+                           + re.escape(repr(key))):
+            parse_config(path)
+
+    def test_canonical_obstacle_indices_are_accepted(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"obstacle.{i}.type = disk\n"
+                                f"obstacle.{i}.center_x = {3 * i}\n"
+                                f"obstacle.{i}.center_y = 0\n"
+                                f"obstacle.{i}.radius = 0.5\n"
+                                for i in (10, 0, 3)))
+        centers = [obstacle.center[0]
+                   for obstacle in parse_config(path).obstacles]
+        assert centers == [0.0, 9.0, 30.0]
 
     @pytest.mark.parametrize("key", ["threads", "seed", "obstacle.0.radius"])
     def test_repeated_key_names_both_lines(self, key, tmp_path):
@@ -596,6 +623,21 @@ class TestNtkCommand:
         rows = [line.split(",") for line in sweep[1:]]
         assert [float(r[0]) for r in rows] == [0.2, 0.5]
         assert float(rows[1][2]) > float(rows[0][2])
+
+
+    def test_repeated_overlap_runs_once(self, pipeline, tmp_path):
+        _, config_path, _, _, _ = pipeline
+        out = tmp_path / "ntk"
+        assert main(["ntk", "--config", str(config_path), "--out", str(out),
+                     "--s", "0.5", "--s", "0.2", "--s", "0.5"]) == 0
+        assert sorted(path.name for path in out.glob("ntk_*")) == [
+            "ntk_spectrum_0.csv", "ntk_spectrum_1.csv", "ntk_summary_0.txt",
+            "ntk_summary_1.txt", "ntk_sweep.csv"]
+        sweep = (out / "ntk_sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in sweep[1:]] == [0.2, 0.5]
+        meta = (out / "run_meta_ntk.txt").read_text().splitlines()
+        assert [line for line in meta if line.startswith("s_values")] == [
+            "s_values = 0.2,0.5"]
 
 
 class TestBenchmarkCommand:

@@ -658,9 +658,12 @@ def _interpolant(entries, shape, cut=False):
 
 
 # Even and odd source axes, each going up and down, onto even and odd
-# targets: every shared +-N/2 bin of both mode maps is exercised.
+# targets: every shared +-N/2 bin is exercised.  In the last case a fold
+# puts three or four modes into every bin of the 40 -> 12 axis, so there
+# the order in which the aligned rows are summed shows.
 RESAMPLING_CASES = [((12, 9), (20, 6)), ((12, 9), (8, 14)),
-                    ((12, 9), (7, 5)), ((11, 10), (16, 21))]
+                    ((12, 9), (7, 5)), ((11, 10), (16, 21)),
+                    ((40, 9), (12, 4))]
 
 
 def test_fold_samples_the_interpolant():
@@ -680,3 +683,11 @@ def test_resample_samples_the_cut_interpolant():
         np.testing.assert_allclose(resampled.entries,
                                    _interpolant(entries, target, cut=True),
                                    rtol=0, atol=1e-13)
+
+
+def test_resamplers_refuse_a_grid_below_four_angles():
+    ff = disk_farfield((0.0, 0.0), 1.0, K, 12, 12)
+    for resample in (fourier_resample, fold_to_shape):
+        for shape in ((3, 12), (12, 2)):
+            with pytest.raises(ValueError, match="at least 4 angles per axis"):
+                resample(ff, *shape)

@@ -46,8 +46,8 @@ class TestFolding:
     def test_same_shape_is_identity(self):
         field = _white((24, 24), 1)
         same = fold_to_shape(field, 24, 24)
-        scale = np.max(np.abs(field.entries))
-        assert np.max(np.abs(same.entries - field.entries)) < 1e-13 * scale
+        np.testing.assert_array_equal(same.entries, field.entries)
+        assert same.entries is not field.entries
 
     def test_white_noise_keeps_entry_variance(self):
         # Folding rearranges modes without discarding energy, so the
@@ -96,6 +96,21 @@ class TestEstimatorInput:
             assert correction == 1.0
             np.testing.assert_array_equal(native.entries,
                                           fold_to_shape(field, 30, 30).entries)
+
+    @pytest.mark.parametrize("shape", [(30, 30), (24, 36)])
+    def test_native_shape_reaches_the_network_as_measured(self, shape):
+        """At the native shape there is nothing to cut or fold: the
+        network sees the measurement's own spectrum, the features it was
+        trained on, bit for bit."""
+        noisy, _ = add_noise(disk_farfield((0.0, 0.0), 1.0, K, *shape),
+                             0.1, seed=5)
+        native, correction = estimator_input(noisy, *shape)
+        assert correction == 1.0
+        np.testing.assert_array_equal(native.entries, noisy.entries)
+        net = make_noisenet(*shape, seed=1)
+        output = float(nn.forward(net.mlp, spectrum_features(noisy))[0])
+        want = (np.sqrt(shape[0]) + np.sqrt(shape[1])) * np.exp(output)
+        assert predict_delta(net, noisy) == want
 
     def test_correction_matches_the_cut(self):
         _, correction = estimator_input(_white((50, 100), 8), 30, 30)
