@@ -2,10 +2,13 @@
 
 Every archive is little-endian.  Headers are packed with `struct`, arrays
 follow as raw bytes in declaration order, and an optional tail carries
-an embedded blob such as a network.  Reading goes through a `Reader`
-that checks each header and array against the bytes left before it
-touches them, so a short, long or inconsistent file raises `ValueError`
-instead of a `struct.error` or an allocation sized by a corrupt field.
+an embedded blob such as a network.  Each array crosses between file and
+memory once: the writer hands its buffer straight to the file, and a
+`Reader` reads it straight into a fresh array of its own.  The reader
+checks each header and array against the file's length before it
+allocates or reads anything, so a short, long or inconsistent file
+raises `ValueError` instead of a `struct.error` or an allocation sized by
+a corrupt field; a file that shrinks while it is read raises it too.
 Every text artifact goes through `write_lines`, the one text layout:
 UTF-8 with one LF per line on every platform, so reruns match byte for byte.
 `format_g17` prints a float64 array exactly as `'%.17g' % v` prints each
@@ -15,6 +18,7 @@ value, in whole-array passes; the field CSVs print their values with it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from fractions import Fraction
@@ -22,13 +26,15 @@ from fractions import Fraction
 import numpy as np
 
 
-def write(path, magic: bytes, fmt: str, header, arrays=(), tail: bytes = b"") -> None:
-    """Magic, the header packed as `<fmt`, each (array, dtype) pair, then tail."""
+def write(path, magic: bytes, fmt: str, header, arrays=(), tail=()) -> None:
+    """Magic, the header packed as `<fmt`, each (array, dtype) pair, then
+    each buffer of tail; every array's buffer goes to the file as it is."""
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<" + fmt, *header))
         for values, dtype in arrays:
-            fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
-        fh.write(tail)
+            fh.write(np.ascontiguousarray(values, dtype=dtype))
+        for buffer in tail:
+            fh.write(buffer)
 
 
 def write_lines(path, lines) -> None:
@@ -198,24 +204,42 @@ def format_g17(values) -> np.ndarray:
 
 
 class Reader:
-    """Bounds-checked cursor over the bytes of one archive."""
+    """Bounds-checked cursor over one open archive file.
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    The length comes from the file itself (`os.fstat`), so every header
+    and array is checked against the bytes left before anything is
+    allocated; each array is then read straight into its own buffer.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.length = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
     def _take(self, size: int, what: str) -> int:
-        start, left = self.offset, len(self.blob) - self.offset
+        start, left = self.offset, self.length - self.offset
         if size > left:
             raise ValueError(f"truncated archive: {what} needs {size} bytes "
                              f"at offset {start}, {left} left")
         self.offset += size
         return start
 
+    def _fill(self, buffer, start: int, what: str):
+        """The buffer, filled from the file with the bytes `_take` counted
+        from start on; fewer means the file shrank while it was read."""
+        size = self.offset - start
+        got = self.fh.readinto(buffer)
+        if got != size:
+            raise ValueError(f"truncated archive: {what} got {got} of {size} "
+                             f"bytes at offset {start}; the file shrank "
+                             f"while it was read")
+        return buffer
+
     def header(self, fmt: str) -> tuple:
         fmt = "<" + fmt
-        return struct.unpack_from(fmt, self.blob,
-                                  self._take(struct.calcsize(fmt), f"header {fmt}"))
+        size, what = struct.calcsize(fmt), f"header {fmt}"
+        start = self._take(size, what)
+        return struct.unpack(fmt, self._fill(bytearray(size), start, what))
 
     def magic(self, expected: bytes) -> None:
         (found,) = self.header(f"{len(expected)}s")
@@ -223,28 +247,29 @@ class Reader:
             raise ValueError(f"bad magic {found!r}, expected {expected!r}")
 
     def array(self, dtype, shape: tuple) -> np.ndarray:
-        """A copy of the next prod(shape) elements, read in place."""
+        """The next prod(shape) elements, read into a fresh array once
+        their size has been checked against the bytes left."""
         dtype = np.dtype(dtype)
-        count = math.prod(shape)
-        start = self._take(count * dtype.itemsize, f"{dtype.str} array {shape}")
-        return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
+        what = f"{dtype.str} array {shape}"
+        start = self._take(math.prod(shape) * dtype.itemsize, what)
+        return self._fill(np.empty(shape, dtype), start, what)
 
 
 @contextmanager
 def read(path, magic: bytes):
-    """Reader over a whole file, past its magic.
+    """Reader over an open file, past its magic.
 
     A clean exit refuses trailing bytes.  Any ValueError raised inside the
     block, by the reader or by the loader's own validation, is re-raised
     with the file path in front.
     """
     with open(path, "rb") as fh:
-        reader = Reader(fh.read())
-    try:
-        reader.magic(magic)
-        yield reader
-        if reader.offset != len(reader.blob):
-            raise ValueError(f"{len(reader.blob) - reader.offset} trailing "
-                             f"bytes after offset {reader.offset}")
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+        reader = Reader(fh)
+        try:
+            reader.magic(magic)
+            yield reader
+            if reader.offset != reader.length:
+                raise ValueError(f"{reader.length - reader.offset} trailing "
+                                 f"bytes after offset {reader.offset}")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err

@@ -307,11 +307,13 @@ _INPUTS = {
 
 
 def _input(config: RunConfig, name: str, given=None) -> Path:
-    """The given path, else `name` in the output directory; it must exist."""
+    """The given path, else `name` in the output directory; it must be a
+    regular file (a directory or a FIFO is refused before it is opened)."""
     path = Path(given) if given else Path(config.out_dir) / name
-    if not path.exists():
+    if not path.is_file():
         what, hint = _INPUTS[name]
-        raise FileNotFoundError(f"{what}{path} not found; {hint}")
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise FileNotFoundError(f"{what}{path} {problem}; {hint}")
     return path
 
 

@@ -267,16 +267,15 @@ def adam_step(state: AdamState, params: list, grads: list,
             pb -= work
 
 
-def mlp_to_bytes(mlp: Mlp) -> bytes:
-    """Embedded form: magic, layer sizes, activation/output codes, f64 payload."""
-    parts = [MAGIC_NETWORK,
-             struct.pack("<I", len(mlp.sizes)),
-             struct.pack(f"<{len(mlp.sizes)}I", *mlp.sizes),
-             struct.pack("<BB", ACTIVATIONS.index(mlp.activation),
-                         OUTPUTS.index(mlp.output))]
-    for p in parameters(mlp):
-        parts.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    return b"".join(parts)
+def mlp_to_bytes(mlp: Mlp) -> list:
+    """Embedded form as buffers to write in turn: the header bytes (magic,
+    layer sizes, activation/output codes), then each parameter as <f8."""
+    header = (MAGIC_NETWORK + struct.pack(f"<I{len(mlp.sizes)}IBB",
+                                          len(mlp.sizes), *mlp.sizes,
+                                          ACTIVATIONS.index(mlp.activation),
+                                          OUTPUTS.index(mlp.output)))
+    return [header] + [np.ascontiguousarray(p, dtype="<f8")
+                       for p in parameters(mlp)]
 
 
 def read_mlp(reader) -> Mlp:

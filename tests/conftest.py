@@ -31,3 +31,20 @@ def no_general_order(monkeypatch):
             return getattr(special, name)
 
     monkeypatch.setattr(specialfn, "_sp", NoGeneralOrder())
+
+
+@pytest.fixture
+def open_blob(tmp_path):
+    """Bytes as an open binary file, the object an `archive.Reader` reads;
+    every file opened this way is closed after the test."""
+    files = []
+
+    def open_(blob):
+        path = tmp_path / f"blob{len(files)}.bin"
+        path.write_bytes(blob)
+        files.append(open(path, "rb"))
+        return files[-1]
+
+    yield open_
+    for fh in files:
+        fh.close()

@@ -1,5 +1,6 @@
 """Binary archives: the shared reader, the on-disk layouts, malformed files."""
 
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -178,14 +179,154 @@ def test_spacing_without_finite_shape_parameter_is_refused(tmp_path):
     assert "model.bin" in str(err.value)
 
 
-def test_reader_checks_bounds_before_reading():
-    reader = archive.Reader(struct.pack("<I", 7) + b"\x00" * 8)
+def test_reader_checks_bounds_before_reading(open_blob):
+    reader = archive.Reader(open_blob(struct.pack("<I", 7) + b"\x00" * 8))
     assert reader.header("I") == (7,)
     with pytest.raises(ValueError, match="needs 16 bytes at offset 4, 8 left"):
         reader.array("<f8", (2, 1))
     assert reader.offset == 4
     np.testing.assert_array_equal(reader.array("<f8", (1,)), [0.0])
-    assert reader.offset == len(reader.blob)
+    assert reader.offset == reader.length
+
+
+# -- what a loader hands back -------------------------------------------
+
+SAVERS = {"RDON": deeponet.save_deeponet, "RDS1": deeponet.save_training_set,
+          "NNET": noisenet.save_noisenet, "NDS1": noisenet.save_noise_dataset}
+
+
+def _arrays(loaded):
+    """Every array a loaded object holds, its network's included."""
+    if isinstance(loaded, np.ndarray):
+        return [loaded]
+    if isinstance(loaded, (list, tuple)):
+        return [values for item in loaded for values in _arrays(item)]
+    if dataclasses.is_dataclass(loaded):
+        return [values for field in dataclasses.fields(loaded)
+                for values in _arrays(getattr(loaded, field.name))]
+    return []
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_loaded_arrays_are_aligned_writable_and_their_own(name, tmp_path):
+    write, load, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.bin"
+    write(path)
+    arrays = _arrays(load(path))
+    assert len(arrays) >= 4
+    for values in arrays:
+        assert values.flags.c_contiguous and values.flags.aligned
+        assert values.flags.writeable and values.flags.owndata
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_loaded_arrays_outlive_their_file(name, tmp_path):
+    """Another save truncates and rewrites the file, and then it is
+    deleted; neither reaches what was loaded from it."""
+    write, load, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.bin"
+    write(path)
+    loaded = load(path)
+    kept = [values.copy() for values in _arrays(loaded)]
+    other = load(path)
+    for values in _arrays(other):
+        values[...] = ~values if values.dtype == np.uint8 else -values - 1.0
+    blob = path.read_bytes()
+    SAVERS[name](path, other)
+    assert path.read_bytes() != blob
+    for gone in (False, True):
+        if gone:
+            path.unlink()
+        for values, copy in zip(_arrays(loaded), kept, strict=True):
+            np.testing.assert_array_equal(values, copy)
+
+
+class _ShortRead:
+    """A file whose readinto number `short` delivers one byte less than
+    asked, as when the file shrinks while it is read; counts the calls."""
+
+    def __init__(self, fh, short=None):
+        self.fh, self.short, self.calls = fh, short, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def readinto(self, buffer):
+        self.calls += 1
+        flat = np.frombuffer(buffer, np.uint8)
+        if self.calls == self.short:
+            flat = flat[:-1]
+        return self.fh.readinto(flat)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_short_read_raises_naming_the_file(name, tmp_path, monkeypatch):
+    write, load, _, _ = FORMATS[name]
+    path = tmp_path / f"{name}.bin"
+    write(path)
+    opened = []
+
+    def open_short(short):
+        def open_(file, mode):
+            opened.append(_ShortRead(open(file, mode), short))
+            return opened[-1]
+        return open_
+
+    monkeypatch.setattr(archive, "open", open_short(None), raising=False)
+    load(path)
+    calls = opened[-1].calls
+    assert calls >= 5
+    for short in range(1, calls + 1):
+        monkeypatch.setattr(archive, "open", open_short(short), raising=False)
+        with pytest.raises(ValueError, match="truncated archive: .* the file "
+                                             "shrank while it was read") as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: "), short
+
+
+def test_rdon_load_holds_one_copy_of_the_weights(tmp_path):
+    """A 3.6 MB model loads within its own size plus 1 MiB: the weights
+    are read into their arrays, not into a whole-file buffer first."""
+    path = tmp_path / "model.bin"
+    trunk = deeponet.make_trunk(1.0, 2.0, 0.5, 0.3)
+    deeponet.save_deeponet(path, deeponet.make_deeponet(trunk, 30, 30, seed=2))
+    size = path.stat().st_size
+    assert size > 3 * 2 ** 20
+    tracemalloc.start()
+    try:
+        model = deeponet.load_deeponet(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.branch.sizes == (1800, 243, 81)
+    assert size - 2 ** 10 < peak < size + 2 ** 20, peak
+
+
+def test_non_contiguous_arrays_are_written_as_their_contiguous_copies(
+        tmp_path):
+    net = noisenet.make_noisenet(14, 10, seed=3)
+    transposed = np.asfortranarray(net.mlp.weights[0])
+    assert not transposed.flags.c_contiguous
+    noisenet.save_noisenet(tmp_path / "contiguous.bin", net)
+    net.mlp.weights[0] = transposed
+    noisenet.save_noisenet(tmp_path / "transposed.bin", net)
+    assert (tmp_path / "transposed.bin").read_bytes() == \
+        (tmp_path / "contiguous.bin").read_bytes()
+
+    corpus = _rds1(tmp_path / "rows.bin")
+    columns = dataclasses.replace(
+        corpus, matrices=np.asfortranarray(corpus.matrices),
+        centers=np.asfortranarray(corpus.centers))
+    assert not columns.matrices.flags.c_contiguous
+    deeponet.save_training_set(tmp_path / "columns.bin", columns)
+    assert (tmp_path / "columns.bin").read_bytes() == \
+        (tmp_path / "rows.bin").read_bytes()
 
 
 # -- layouts as the README's "Binary formats" table states them ----------

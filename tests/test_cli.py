@@ -546,6 +546,46 @@ class TestPipeline:
             cli.cmd_train(empty, "deeponet")
 
 
+class TestInputPaths:
+    """A model or corpus path must name a regular file: a directory would
+    fail in `open` with a bare IsADirectoryError, and a FIFO would block
+    there; both are refused with the command's hint before any open."""
+
+    def test_directory_given_to_reconstruct_is_refused(self, tmp_path):
+        given = tmp_path / "some_dir"
+        given.mkdir()
+        with pytest.raises(FileNotFoundError,
+                           match=rf"^operator model {re.escape(str(given))} "
+                                 r"is not a regular file; train it or pass "
+                                 r"--deeponet$"):
+            main(["reconstruct", "--out", str(tmp_path / "out"),
+                  "--strategy", "deeponet-only", "--deeponet", str(given)])
+
+    def test_directory_in_the_output_directory_is_refused(self, tmp_path):
+        (tmp_path / "deeponet_dataset.bin").mkdir()
+        config = dataclasses.replace(default_config(), out_dir=str(tmp_path))
+        with pytest.raises(FileNotFoundError,
+                           match=r"deeponet_dataset\.bin is not a regular "
+                                 r"file; run `lsmnet gen` first"):
+            cli.cmd_train(config, "deeponet")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_is_refused_before_it_is_opened(self, tmp_path):
+        fifo = tmp_path / "noise.fifo"
+        os.mkfifo(fifo)
+        config = dataclasses.replace(default_config(), out_dir=str(tmp_path))
+        with pytest.raises(FileNotFoundError,
+                           match=r"^noise model .*noise\.fifo is not a "
+                                 r"regular file; train it or pass --noisenet$"):
+            cli._input(config, "noisenet_model.bin", fifo)
+
+    def test_missing_file_is_still_not_found(self, tmp_path):
+        config = dataclasses.replace(default_config(), out_dir=str(tmp_path))
+        with pytest.raises(FileNotFoundError,
+                           match=r"noisenet_model\.bin not found; train it"):
+            cli._input(config, "noisenet_model.bin")
+
+
 class TestOneTextWriter:
     def test_every_text_artifact_goes_through_write_lines(
             self, tmp_path, monkeypatch):

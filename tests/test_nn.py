@@ -404,10 +404,10 @@ class TestAdam:
 
 
 class TestSerialization:
-    def test_bytes_round_trip(self):
+    def test_bytes_round_trip(self, open_blob):
         mlp = init_mlp((5, 7, 7, 2), "relu", "square", seed=21)
-        blob = mlp_to_bytes(mlp)
-        reader = archive.Reader(blob)
+        blob = b"".join(mlp_to_bytes(mlp))
+        reader = archive.Reader(open_blob(blob))
         back = read_mlp(reader)
         assert reader.offset == len(blob)
         assert back.sizes == mlp.sizes
@@ -415,10 +415,10 @@ class TestSerialization:
         for a, b in zip(parameters(mlp), parameters(back)):
             np.testing.assert_array_equal(a, b)
 
-    def test_embedded_blob_offset(self):
+    def test_embedded_blob_offset(self, open_blob):
         mlp = init_mlp((3, 2), "tanh", "identity", seed=5)
-        blob = b"HEAD" + mlp_to_bytes(mlp) + b"TAIL"
-        reader = archive.Reader(blob)
+        blob = b"".join([b"HEAD", *mlp_to_bytes(mlp), b"TAIL"])
+        reader = archive.Reader(open_blob(blob))
         reader.magic(b"HEAD")
         back = read_mlp(reader)
         assert blob[reader.offset:] == b"TAIL"
@@ -435,12 +435,13 @@ class TestSerialization:
         for a, b in zip(parameters(mlp), parameters(back)):
             np.testing.assert_array_equal(a, b)
 
-    def test_bad_magic_and_trailing_bytes(self, tmp_path):
+    def test_bad_magic_and_trailing_bytes(self, tmp_path, open_blob):
         mlp = init_mlp((3, 2), "tanh", "identity", seed=0)
         with pytest.raises(ValueError, match="magic"):
-            read_mlp(archive.Reader(b"XXXX" + mlp_to_bytes(mlp)[4:]))
+            read_mlp(archive.Reader(
+                open_blob(b"XXXX" + b"".join(mlp_to_bytes(mlp))[4:])))
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"TEST" + mlp_to_bytes(mlp) + b"junk")
+        path.write_bytes(b"".join([b"TEST", *mlp_to_bytes(mlp), b"junk"]))
         with pytest.raises(ValueError, match="bad.bin: 4 trailing bytes"):
             with archive.read(path, b"TEST") as reader:
                 read_mlp(reader)
